@@ -208,42 +208,45 @@ class RunResult:
 _CODE_ATTR = "_warpsim_code"
 
 
+# Micro-op kind of each opcode: (register form, immediate form).  The
+# immediate form applies when a "reg|int" operand holds an integer.
+_KINDS = {
+    Opcode.SSY: (_K_SSY, _K_SSY),
+    Opcode.BRA: (_K_BRA, _K_BRA),
+    Opcode.NOP: (_K_NOP, _K_NOP),
+    Opcode.IADD: (_K_IADD_RR, _K_IADD_RI),
+    Opcode.FADD_IMM: (_K_FADD, _K_FADD),
+    Opcode.ISETP_LT: (_K_ISETP_RR, _K_ISETP_RI),
+    Opcode.MOV: (_K_MOV_R, _K_MOV_I),
+    Opcode.CLOCK: (_K_CLOCK, _K_CLOCK),
+    Opcode.STORE_SLOT: (_K_STSLOT_R, _K_STSLOT_I),
+    Opcode.EXIT: (_K_EXIT, _K_EXIT),
+}
+
+
 def _decode(ins: Instruction) -> tuple:
-    """Lower one instruction to (kind, pop_bit, a, b) for fast dispatch."""
-    op = ins.opcode
-    if op is Opcode.SSY:
-        return (_K_SSY, False, ins.target, None)
-    if op is Opcode.BRA:
-        pred = None if ins.pred == PRED_PT else ins.pred
-        return (_K_BRA, False, ins.target, pred)
-    if op is Opcode.EXIT:
-        return (_K_EXIT, False, None, None)
-    if op is Opcode.NOP:
-        return (_K_NOP, ins.pop_bit, None, None)
-    pop = ins.pop_bit
-    if op is Opcode.IADD:
-        if ins.src_b is not None:
-            return (_K_IADD_RR, pop, ins.dst, (ins.src_a, ins.src_b))
+    """Lower one instruction to (kind, pop_bit, a, b) for fast dispatch.
+
+    ``a`` is the first operand value in :data:`isa.SPECS` order and ``b``
+    the rest: None, one value, or a tuple of several.
+    """
+    kind, imm_kind = _KINDS[ins.opcode]
+    values = []
+    for operand in isa.SPECS[ins.opcode].operands:
+        value = getattr(ins, operand[1])
+        if value is None and len(operand) == 3:
+            kind = imm_kind
+            value = getattr(ins, operand[2])
+        values.append(value)
+    if kind == _K_IADD_RI:
         # Bias folded into the immediate so the lane loop wraps in one
         # add/mask/subtract sequence.
-        return (_K_IADD_RI, pop, ins.dst, (ins.src_a, ins.imm + _BIAS))
-    if op is Opcode.FADD_IMM:
-        return (_K_FADD, pop, ins.dst, (ins.src_a, ins.imm))
-    if op is Opcode.ISETP_LT:
-        if ins.src_b is not None:
-            return (_K_ISETP_RR, pop, ins.pdst, (ins.src_a, ins.src_b))
-        return (_K_ISETP_RI, pop, ins.pdst, (ins.src_a, ins.imm))
-    if op is Opcode.MOV:
-        if ins.src_a is not None:
-            return (_K_MOV_R, pop, ins.dst, ins.src_a)
-        return (_K_MOV_I, pop, ins.dst, ins.imm)
-    if op is Opcode.CLOCK:
-        return (_K_CLOCK, pop, ins.dst, None)
-    if op is Opcode.STORE_SLOT:
-        if ins.slot_reg is not None:
-            return (_K_STSLOT_R, pop, ins.slot_reg, ins.src_a)
-        return (_K_STSLOT_I, pop, ins.slot, ins.src_a)
-    raise ProgramError(f"cannot decode opcode {op}")  # pragma: no cover
+        values[-1] += _BIAS
+    if kind == _K_BRA:  # b is the @Pk predicate, None for PT (all lanes)
+        values.append(None if ins.pred == PRED_PT else ins.pred)
+    a, *rest = values or [None]
+    b = rest[0] if len(rest) == 1 else tuple(rest) if rest else None
+    return (kind, ins.pop_bit, a, b)
 
 
 def _code_for(program: Program) -> tuple[tuple, ...]:

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, Union
 
 from .errors import ProgramError
+from .isa import strip_comment
 from .stack import StackEvent, SyncStack
 
 
@@ -170,12 +171,7 @@ def parse_profile(text: str, default_name: str = "custom") -> ArchProfile:
     base: dict[str, int] = {}
     seen: set[str] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw
-        for marker in "#;":
-            pos = line.find(marker)
-            if pos >= 0:
-                line = line[:pos]
-        line = line.strip()
+        line = strip_comment(raw)
         if not line:
             continue
         key, sep, value = (part.strip() for part in line.partition("="))

@@ -44,9 +44,9 @@ from __future__ import annotations
 
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields as dataclass_fields
 from enum import Enum
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 from .errors import AsmError, ProgramError
 
@@ -82,30 +82,14 @@ class Opcode(Enum):
 
 _MNEMONICS = {op.value: op for op in Opcode}
 
-# Opcodes that may carry the pop-bit (any plain carrier instruction).
-_POP_CARRIERS = frozenset(
-    {Opcode.NOP, Opcode.IADD, Opcode.FADD_IMM, Opcode.ISETP_LT, Opcode.MOV,
-     Opcode.CLOCK, Opcode.STORE_SLOT}
-)
-
-
 @dataclass(frozen=True)
 class Instruction:
     """One decoded instruction.
 
-    Field usage by opcode (unused fields stay None):
-
-    * SSY:        target
-    * BRA:        target, pred (None = unconditional)
-    * IADD:       dst, src_a, src_b or imm
-    * FADD_IMM:   dst, src_a, imm (float, always float32-exact)
-    * ISETP_LT:   pdst, src_a, src_b or imm
-    * MOV:        dst, src_a or imm
-    * CLOCK:      dst
-    * STORE_SLOT: slot or slot_reg, src_a (value to store)
-    * NOP, EXIT:  nothing
-
-    ``pop_bit`` marks the instruction as a stack-unwinding carrier.
+    Which operand fields an opcode uses is given by its :data:`SPECS`
+    row; unused fields stay None.  ``pred`` is the ``@Pk`` branch
+    predicate (None = unconditional) and ``pop_bit`` marks the
+    instruction as a stack-unwinding carrier.
     """
 
     opcode: Opcode
@@ -119,6 +103,49 @@ class Instruction:
     slot: Union[int, None] = None
     slot_reg: Union[int, None] = None
     target: Union[int, None] = None
+
+
+_OPERAND_FIELDS = tuple(f.name for f in dataclass_fields(Instruction)
+                        if f.name not in ("opcode", "pop_bit", "pred"))
+
+
+@dataclass(frozen=True)
+class OpSpec:
+    """Assembly syntax and validity rules of one opcode.
+
+    ``operands`` lists the operands in text order, each as
+    ``(shape, field)`` or, when the operand is a register or an integer,
+    ``(shape, reg_field, imm_field)``.  Shapes: ``target`` (label or
+    instruction index), ``reg``, ``pred``, ``reg|int``, ``f32`` and
+    ``[reg|int]`` (a bracketed slot index).  ``pop`` allows the ``.S``
+    pop-bit and ``pred`` the ``@Pk`` prefix.
+    """
+
+    operands: tuple[tuple[str, ...], ...] = ()
+    pop: bool = False
+    pred: bool = False
+    unused: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        used = {name for operand in self.operands for name in operand[1:]}
+        object.__setattr__(self, "unused",
+                           tuple(name for name in _OPERAND_FIELDS if name not in used))
+
+
+SPECS: Mapping[Opcode, OpSpec] = {
+    Opcode.SSY: OpSpec((("target", "target"),)),
+    Opcode.BRA: OpSpec((("target", "target"),), pred=True),
+    Opcode.NOP: OpSpec(pop=True),
+    Opcode.IADD: OpSpec((("reg", "dst"), ("reg", "src_a"), ("reg|int", "src_b", "imm")),
+                        pop=True),
+    Opcode.FADD_IMM: OpSpec((("reg", "dst"), ("reg", "src_a"), ("f32", "imm")), pop=True),
+    Opcode.ISETP_LT: OpSpec((("pred", "pdst"), ("reg", "src_a"), ("reg|int", "src_b", "imm")),
+                            pop=True),
+    Opcode.MOV: OpSpec((("reg", "dst"), ("reg|int", "src_a", "imm")), pop=True),
+    Opcode.CLOCK: OpSpec((("reg", "dst"),), pop=True),
+    Opcode.STORE_SLOT: OpSpec((("[reg|int]", "slot_reg", "slot"), ("reg", "src_a")), pop=True),
+    Opcode.EXIT: OpSpec(),
+}
 
 
 @dataclass(frozen=True)
@@ -174,8 +201,25 @@ def predicate_index(name: str, file_size: int = DEFAULT_PREDICATE_FILE) -> int:
     return index
 
 
+_VALID_ATTR = "_warpsim_valid"
+
+
 def validate_program(program: Program) -> Program:
-    """Check all structural invariants; returns the program for chaining."""
+    """Check all structural invariants; returns the program for chaining.
+
+    A program that passes is marked as valid, so checking it again (as
+    every run does) costs nothing.
+    """
+    if getattr(program, _VALID_ATTR, False):
+        return program
+    for i, ins in enumerate(program.instructions):
+        _check_instruction(i, ins, len(program), program.register_file_size,
+                           program.predicate_file_size)
+    return _check_layout(program)
+
+
+def _check_layout(program: Program) -> Program:
+    """Program-wide checks; marks the program valid once its instructions passed."""
     ins_list = program.instructions
     if not ins_list:
         raise ProgramError("program has no instructions")
@@ -184,8 +228,7 @@ def validate_program(program: Program) -> Program:
         raise ProgramError("program must contain exactly one EXIT, as the final instruction")
     if program.register_file_size < 1 or program.predicate_file_size < 1:
         raise ProgramError("register and predicate file sizes must be >= 1")
-    for i, ins in enumerate(ins_list):
-        _validate_instruction(program, i, ins)
+    object.__setattr__(program, _VALID_ATTR, True)
     return program
 
 
@@ -193,96 +236,51 @@ def _err(i: int, ins: Instruction, message: str) -> ProgramError:
     return ProgramError(f"instruction {i} ({ins.opcode.value}): {message}")
 
 
-def _check_reg(program: Program, i: int, ins: Instruction, name: str, allow_rz: bool = True):
-    value = getattr(ins, name)
-    if value is None:
-        raise _err(i, ins, f"missing {name}")
-    lo = REG_RZ if allow_rz else 0
-    if not lo <= value < program.register_file_size:
-        raise _err(i, ins, f"{name}={value} outside register file of {program.register_file_size}")
-
-
-def _check_none(i: int, ins: Instruction, names: Iterable[str]):
-    for name in names:
+def _check_instruction(i: int, ins: Instruction, length: int, regs: int, preds: int) -> None:
+    """Check one instruction against its :data:`SPECS` row."""
+    spec = SPECS[ins.opcode]
+    if ins.pop_bit and not spec.pop:
+        raise _err(i, ins, "pop-bit not allowed on this opcode")
+    if ins.pred is not None:
+        if not spec.pred:
+            raise _err(i, ins, "predication not allowed on this opcode")
+        if not PRED_PT <= ins.pred < preds:
+            raise _err(i, ins, f"predicate {ins.pred} outside file")
+    for name in spec.unused:
         if getattr(ins, name) is not None:
             raise _err(i, ins, f"unexpected operand {name}")
-
-
-_ALL_OPERANDS = ("pred", "dst", "pdst", "src_a", "src_b", "imm", "slot", "slot_reg", "target")
-
-
-def _validate_instruction(program: Program, i: int, ins: Instruction) -> None:
-    op = ins.opcode
-    if ins.pop_bit and op not in _POP_CARRIERS:
-        raise _err(i, ins, "pop-bit not allowed on this opcode")
-    if ins.pred is not None and op is not Opcode.BRA:
-        raise _err(i, ins, "predication only supported on BRA")
-
-    if op is Opcode.SSY or op is Opcode.BRA:
-        if ins.target is None or not 0 <= ins.target < len(program.instructions):
-            raise _err(i, ins, f"target {ins.target} out of range")
-        if op is Opcode.BRA and ins.pred is not None:
-            if not PRED_PT <= ins.pred < program.predicate_file_size:
-                raise _err(i, ins, f"predicate {ins.pred} outside file")
-        _check_none(i, ins, ("dst", "pdst", "src_a", "src_b", "imm", "slot", "slot_reg"))
-        return
-    _check_none(i, ins, ("target",))
-
-    if op is Opcode.NOP or op is Opcode.EXIT:
-        _check_none(i, ins, ("dst", "pdst", "src_a", "src_b", "imm", "slot", "slot_reg"))
-    elif op is Opcode.IADD or op is Opcode.ISETP_LT:
-        _check_reg(program, i, ins, "src_a")
-        if (ins.src_b is None) == (ins.imm is None):
-            raise _err(i, ins, "needs exactly one of src_b or imm")
-        if ins.src_b is not None:
-            _check_reg(program, i, ins, "src_b")
-        else:
-            _check_int_imm(i, ins)
-        if op is Opcode.IADD:
-            _check_reg(program, i, ins, "dst")
-            _check_none(i, ins, ("pdst", "slot", "slot_reg"))
-        else:
-            if ins.pdst is None or not PRED_PT <= ins.pdst < program.predicate_file_size:
-                raise _err(i, ins, f"pdst={ins.pdst} outside predicate file")
-            _check_none(i, ins, ("dst", "slot", "slot_reg"))
-    elif op is Opcode.FADD_IMM:
-        _check_reg(program, i, ins, "dst")
-        _check_reg(program, i, ins, "src_a")
-        if not isinstance(ins.imm, float):
-            raise _err(i, ins, "needs a float immediate")
-        if f32(ins.imm) != ins.imm:
-            raise _err(i, ins, f"immediate {ins.imm!r} is not float32-exact")
-        _check_none(i, ins, ("pdst", "src_b", "slot", "slot_reg"))
-    elif op is Opcode.MOV:
-        _check_reg(program, i, ins, "dst")
-        if (ins.src_a is None) == (ins.imm is None):
-            raise _err(i, ins, "needs exactly one of src_a or imm")
-        if ins.src_a is not None:
-            _check_reg(program, i, ins, "src_a")
-        else:
-            _check_int_imm(i, ins)
-        _check_none(i, ins, ("pdst", "src_b", "slot", "slot_reg"))
-    elif op is Opcode.CLOCK:
-        _check_reg(program, i, ins, "dst")
-        _check_none(i, ins, ("pdst", "src_a", "src_b", "imm", "slot", "slot_reg"))
-    elif op is Opcode.STORE_SLOT:
-        _check_reg(program, i, ins, "src_a")
-        if (ins.slot is None) == (ins.slot_reg is None):
-            raise _err(i, ins, "needs exactly one of slot or slot_reg")
-        if ins.slot_reg is not None:
-            _check_reg(program, i, ins, "slot_reg")
-        elif ins.slot < 0:
-            raise _err(i, ins, f"slot index {ins.slot} must be >= 0")
-        _check_none(i, ins, ("dst", "pdst", "src_b", "imm"))
-    else:  # pragma: no cover - exhaustive over Opcode
-        raise _err(i, ins, "unhandled opcode")
-
-
-def _check_int_imm(i: int, ins: Instruction) -> None:
-    if not isinstance(ins.imm, int):
-        raise _err(i, ins, f"immediate {ins.imm!r} must be an integer")
-    if not INT32_MIN <= ins.imm <= INT32_MAX:
-        raise _err(i, ins, f"immediate {ins.imm} outside 32-bit signed range")
+    for operand in spec.operands:
+        shape, name = operand[0], operand[1]
+        value = getattr(ins, name)
+        if len(operand) == 3:
+            imm = getattr(ins, operand[2])
+            if (value is None) == (imm is None):
+                raise _err(i, ins, f"needs exactly one of {name} or {operand[2]}")
+            if value is not None:
+                shape = "reg"
+            elif shape == "[reg|int]":
+                if imm < 0:
+                    raise _err(i, ins, f"slot index {imm} must be >= 0")
+            elif not isinstance(imm, int):
+                raise _err(i, ins, f"immediate {imm!r} must be an integer")
+            elif not INT32_MIN <= imm <= INT32_MAX:
+                raise _err(i, ins, f"immediate {imm} outside 32-bit signed range")
+        if shape == "reg":
+            if value is None:
+                raise _err(i, ins, f"missing {name}")
+            if not REG_RZ <= value < regs:
+                raise _err(i, ins, f"{name}={value} outside register file of {regs}")
+        elif shape == "pred":
+            if value is None or not PRED_PT <= value < preds:
+                raise _err(i, ins, f"{name}={value} outside predicate file")
+        elif shape == "target":
+            if value is None or not 0 <= value < length:
+                raise _err(i, ins, f"target {value} out of range")
+        elif shape == "f32":
+            if not isinstance(value, float):
+                raise _err(i, ins, "needs a float immediate")
+            if f32(value) != value:
+                raise _err(i, ins, f"immediate {value!r} is not float32-exact")
 
 
 class ProgramBuilder:
@@ -332,9 +330,17 @@ _INT_RE = re.compile(r"^[+-]?(0[xXoObB][0-9a-fA-F]+|\d+)$")
 
 
 def _parse_int_literal(token: str) -> Union[int, None]:
-    if _INT_RE.match(token):
-        return int(token, 0)
-    return None
+    try:
+        return int(token, 0) if _INT_RE.match(token) else None
+    except ValueError:  # shaped like an integer but not one, e.g. "08" or "0b12"
+        return None
+
+
+def strip_comment(line: str) -> str:
+    """The text of ``line`` before any ``#`` or ``;`` comment, stripped."""
+    for marker in "#;":
+        line = line.partition(marker)[0]
+    return line.strip()
 
 
 def parse_program(text: str,
@@ -348,20 +354,14 @@ def parse_program(text: str,
     statements: list[tuple[int, Union[str, None], str, bool, list[str]]] = []
     labels: dict[str, int] = {}
     pending_labels: list[tuple[int, str]] = []
-    directives_done = False
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw
-        for marker in "#;":
-            pos = line.find(marker)
-            if pos >= 0:
-                line = line[:pos]
-        line = line.strip()
+        line = strip_comment(raw)
         if not line:
             continue
 
         if line.startswith("."):
-            if directives_done or statements or pending_labels:
+            if statements or pending_labels:
                 raise AsmError(line_no, "directives must precede all instructions")
             parts = line.split()
             if len(parts) != 2 or (value := _parse_int_literal(parts[1])) is None:
@@ -390,13 +390,13 @@ def parse_program(text: str,
                 raise AsmError(line_no, "predicate prefix without instruction")
             pred_token, line = parts
 
-        head, _, rest = line.partition(" ")
+        head, *rest = line.split(None, 1)
         mnemonic = head.upper()
         pop_bit = False
         if mnemonic.endswith(".S"):
             pop_bit = True
             mnemonic = mnemonic[:-2]
-        operands = [tok.strip() for tok in rest.split(",")] if rest.strip() else []
+        operands = [tok.strip() for tok in rest[0].split(",")] if rest else []
         if any(not tok for tok in operands):
             raise AsmError(line_no, "empty operand")
 
@@ -404,7 +404,6 @@ def parse_program(text: str,
             labels[name] = len(statements)
         pending_labels.clear()
         statements.append((line_no, pred_token, mnemonic, pop_bit, operands))
-        directives_done = True
 
     for line_no, name in pending_labels:
         raise AsmError(line_no, f"label {name!r} attached to no instruction")
@@ -417,17 +416,16 @@ def parse_program(text: str,
         if opcode is None:
             raise AsmError(line_no, f"unknown mnemonic {mnemonic!r}")
         try:
-            fields = _parse_operands(opcode, operands, labels, len(statements),
+            fields = _parse_operands(opcode, operands, labels,
                                      register_file_size, predicate_file_size)
             if pred_token is not None:
-                if opcode is not Opcode.BRA:
-                    raise ProgramError("predication only supported on BRA")
                 fields["pred"] = predicate_index(pred_token, predicate_file_size)
+            ins = Instruction(opcode, pop_bit=pop_bit, **fields)
+            _check_instruction(index, ins, len(statements), register_file_size,
+                               predicate_file_size)
         except ProgramError as exc:
             raise AsmError(line_no, str(exc)) from None
-        if pop_bit and opcode not in _POP_CARRIERS:
-            raise AsmError(line_no, f"pop-bit suffix not allowed on {mnemonic}")
-        instructions.append(Instruction(opcode, pop_bit=pop_bit, **fields))
+        instructions.append(ins)
 
     program = Program(
         instructions=tuple(instructions),
@@ -436,114 +434,76 @@ def parse_program(text: str,
         labels=labels,
     )
     try:
-        return validate_program(program)
+        return _check_layout(program)
     except ProgramError as exc:
         raise AsmError(statements[-1][0], str(exc)) from None
 
 
-def _expect(operands: list[str], count: int, shape: str) -> None:
-    if len(operands) != count:
-        raise ProgramError(f"expected operands: {shape}")
+def _parse_operands(opcode: Opcode, tokens: list[str], labels: Mapping[str, int],
+                    regs: int, preds: int) -> dict:
+    """Operand fields of one statement, read by the shapes of its SPECS row.
 
-
-def _reg_or_imm(token: str, regs: int) -> tuple[Union[int, None], Union[int, None]]:
-    value = _parse_int_literal(token)
-    if value is not None:
-        return None, value
-    return register_index(token, regs), None
-
-
-def _parse_operands(opcode: Opcode, operands: list[str], labels: Mapping[str, int],
-                    length: int, regs: int, preds: int) -> dict:
-    if opcode in (Opcode.SSY, Opcode.BRA):
-        _expect(operands, 1, f"{opcode.value} target")
-        token = operands[0]
-        target = _parse_int_literal(token)
-        if target is None:
-            if token not in labels:
-                raise ProgramError(f"unresolved label {token!r}")
-            target = labels[token]
-        if not 0 <= target < length:
-            raise ProgramError(f"target {target} out of range")
-        return {"target": target}
-    if opcode in (Opcode.NOP, Opcode.EXIT):
-        _expect(operands, 0, opcode.value)
-        return {}
-    if opcode is Opcode.IADD:
-        _expect(operands, 3, "IADD Rd, Ra, Rb|imm")
-        src_b, imm = _reg_or_imm(operands[2], regs)
-        return {"dst": register_index(operands[0], regs),
-                "src_a": register_index(operands[1], regs), "src_b": src_b, "imm": imm}
-    if opcode is Opcode.FADD_IMM:
-        _expect(operands, 3, "FADD32I Rd, Ra, float")
-        try:
-            imm = float(operands[2])
-        except ValueError:
-            raise ProgramError(f"not a float immediate: {operands[2]!r}") from None
-        return {"dst": register_index(operands[0], regs),
-                "src_a": register_index(operands[1], regs), "imm": f32(imm)}
-    if opcode is Opcode.ISETP_LT:
-        _expect(operands, 3, "ISETP.LT Pd, Ra, Rb|imm")
-        src_b, imm = _reg_or_imm(operands[2], regs)
-        return {"pdst": predicate_index(operands[0], preds),
-                "src_a": register_index(operands[1], regs), "src_b": src_b, "imm": imm}
-    if opcode is Opcode.MOV:
-        _expect(operands, 2, "MOV Rd, Ra|imm")
-        src_a, imm = _reg_or_imm(operands[1], regs)
-        return {"dst": register_index(operands[0], regs), "src_a": src_a, "imm": imm}
-    if opcode is Opcode.CLOCK:
-        _expect(operands, 1, "CLOCK Rd")
-        return {"dst": register_index(operands[0], regs)}
-    if opcode is Opcode.STORE_SLOT:
-        _expect(operands, 2, "STSLOT [Ra|imm], Rs")
-        token = operands[0]
-        if not (token.startswith("[") and token.endswith("]")):
-            raise ProgramError(f"slot operand must be bracketed: {token!r}")
-        inner = token[1:-1].strip()
-        slot = _parse_int_literal(inner)
-        if slot is not None:
-            if slot < 0:
-                raise ProgramError(f"slot index {slot} must be >= 0")
-            return {"slot": slot, "src_a": register_index(operands[1], regs)}
-        return {"slot_reg": register_index(inner, regs),
-                "src_a": register_index(operands[1], regs)}
-    raise ProgramError(f"unhandled opcode {opcode}")  # pragma: no cover
+    Targets, immediates and slot indices are range-checked afterwards by
+    :func:`_check_instruction`.
+    """
+    operands = SPECS[opcode].operands
+    if len(tokens) != len(operands):
+        shapes = ", ".join(operand[0] for operand in operands)
+        raise ProgramError(f"expected operands: {opcode.value} {shapes}".rstrip())
+    fields = {}
+    for operand, token in zip(operands, tokens):
+        shape, name = operand[0], operand[1]
+        if shape == "target":
+            value = _parse_int_literal(token)
+            if value is None:
+                if token not in labels:
+                    raise ProgramError(f"unresolved label {token!r}")
+                value = labels[token]
+        elif shape == "reg":
+            value = register_index(token, regs)
+        elif shape == "pred":
+            value = predicate_index(token, preds)
+        elif shape == "f32":
+            try:
+                value = f32(float(token))
+            except (ValueError, OverflowError):
+                raise ProgramError(f"not a float32 immediate: {token!r}") from None
+        else:  # "reg|int" or "[reg|int]"
+            if shape == "[reg|int]":
+                if not (token.startswith("[") and token.endswith("]")):
+                    raise ProgramError(f"slot operand must be bracketed: {token!r}")
+                token = token[1:-1].strip()
+            value = _parse_int_literal(token)
+            if value is None:
+                value = register_index(token, regs)
+            else:
+                name = operand[2]
+        fields[name] = value
+    return fields
 
 
 def format_instruction(ins: Instruction, label_of=None) -> str:
     """Render one instruction body (no label prefix)."""
-    op = ins.opcode
-    name = op.value + (".S" if ins.pop_bit else "")
-    if label_of is None:
-        label_of = str
-
-    def imm_text(value):
-        return repr(value) if isinstance(value, float) else str(value)
-
-    if op in (Opcode.SSY, Opcode.BRA):
-        text = f"{name} {label_of(ins.target)}"
-        if ins.pred is not None:
-            text = f"@{predicate_name(ins.pred)} {text}"
-        return text
-    if op in (Opcode.NOP, Opcode.EXIT):
-        return name
-    if op is Opcode.IADD:
-        second = register_name(ins.src_b) if ins.src_b is not None else imm_text(ins.imm)
-        return f"{name} {register_name(ins.dst)}, {register_name(ins.src_a)}, {second}"
-    if op is Opcode.FADD_IMM:
-        return f"{name} {register_name(ins.dst)}, {register_name(ins.src_a)}, {imm_text(ins.imm)}"
-    if op is Opcode.ISETP_LT:
-        second = register_name(ins.src_b) if ins.src_b is not None else imm_text(ins.imm)
-        return f"{name} {predicate_name(ins.pdst)}, {register_name(ins.src_a)}, {second}"
-    if op is Opcode.MOV:
-        source = register_name(ins.src_a) if ins.src_a is not None else imm_text(ins.imm)
-        return f"{name} {register_name(ins.dst)}, {source}"
-    if op is Opcode.CLOCK:
-        return f"{name} {register_name(ins.dst)}"
-    if op is Opcode.STORE_SLOT:
-        slot = f"[{register_name(ins.slot_reg)}]" if ins.slot_reg is not None else f"[{ins.slot}]"
-        return f"{name} {slot}, {register_name(ins.src_a)}"
-    raise ProgramError(f"unhandled opcode {op}")  # pragma: no cover
+    texts = []
+    for operand in SPECS[ins.opcode].operands:
+        shape, value = operand[0], getattr(ins, operand[1])
+        if shape == "target":
+            text = (label_of or str)(value)
+        elif shape == "pred":
+            text = predicate_name(value)
+        elif shape == "f32":
+            text = repr(value)
+        elif value is None and len(operand) == 3:  # integer form of "reg|int"
+            text = str(getattr(ins, operand[2]))
+        else:
+            text = register_name(value)
+        texts.append(f"[{text}]" if shape == "[reg|int]" else text)
+    text = ins.opcode.value + (".S" if ins.pop_bit else "")
+    if texts:
+        text += " " + ", ".join(texts)
+    if ins.pred is not None:
+        text = f"@{predicate_name(ins.pred)} {text}"
+    return text
 
 
 def format_program(program: Program) -> str:

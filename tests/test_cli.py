@@ -154,6 +154,14 @@ def test_asm_error_exits_one_with_line(capsys, tmp_path):
     assert "line 2" in err
 
 
+def test_malformed_integer_literal_exits_one(capsys, tmp_path):
+    source = tmp_path / "bad.sasm"
+    source.write_text("MOV R1, 08\nEXIT\n", encoding="utf-8")
+    code, _, err = invoke(capsys, "run", "--program", str(source))
+    assert code == 1
+    assert "line 1" in err
+
+
 def test_reg_broadcast_single_value(capsys, tmp_path):
     source = tmp_path / "prog.sasm"
     source.write_text("IADD R1, R5, 1\nEXIT\n", encoding="utf-8")

@@ -3,7 +3,7 @@
 import pytest
 
 import warpsim as ws
-from warpsim import isa
+from warpsim import core, isa
 from warpsim.errors import AsmError, ProgramError
 
 
@@ -75,6 +75,13 @@ def test_unconditional_and_numeric_target():
     ("STSLOT R4, R5\nEXIT", 1, "bracketed"),
     ("STSLOT [-1], R5\nEXIT", 1, "slot index"),
     ("FADD32I R0, R0, nope\nEXIT", 1, "float"),
+    ("FADD32I R0, R0, 1e300\nEXIT", 1, "float32"),
+    ("MOV R1, 08\nEXIT", 1, "not a register name"),
+    ("IADD R1, R1, 0b12\nEXIT", 1, "not a register name"),
+    ("BRA 0o9\nEXIT", 1, "unresolved label"),
+    (".registers 09\nEXIT", 1, "malformed directive"),
+    ("MOV R1, 5000000000\nNOP\nNOP\nEXIT", 1, "32-bit"),
+    ("FADD32I R1, RZ, nan\nEXIT", 1, "float32-exact"),
 ])
 def test_parse_errors_name_the_line(source, line, fragment):
     with pytest.raises(AsmError) as err:
@@ -118,6 +125,68 @@ def test_round_trip_on_kernels(builder):
     reparsed = ws.parse_program(text)
     assert reparsed == prog
     assert ws.format_program(reparsed) == text
+
+
+def test_tab_separates_mnemonic_from_operands():
+    prog = ws.parse_program("MOV\tR1, 2\nEXIT")
+    assert prog.instructions[0].dst == 1 and prog.instructions[0].imm == 2
+
+
+EVERY_FORM = """\
+.registers 8
+.predicates 3
+top:    SSY done
+        @P1 BRA top
+        @PT BRA next
+next:   BRA done
+        NOP
+        NOP.S
+        IADD R1, R2, R3
+        IADD.S RZ, R1, -5
+        FADD32I R1, RZ, 0.5
+        FADD32I.S R2, R1, -1.25
+        ISETP.LT P0, R1, RZ
+        ISETP.LT.S PT, R2, 0x10
+        MOV R3, RZ
+        MOV.S R4, -7
+        CLOCK R5
+        CLOCK.S RZ
+        STSLOT [R6], R1
+        STSLOT.S [3], RZ
+done:   EXIT
+"""
+
+
+def test_round_trip_covers_every_opcode_and_operand_form():
+    prog = ws.parse_program(EVERY_FORM)
+    ins = prog.instructions
+    assert {i.opcode for i in ins} == set(ws.Opcode)
+    assert {i.opcode for i in ins if i.pop_bit} == {
+        op for op, spec in isa.SPECS.items() if spec.pop}
+    for op, spec in isa.SPECS.items():
+        for operand in spec.operands:
+            if len(operand) == 3:  # both the register and the integer form
+                used = {name for i in ins if i.opcode is op
+                        for name in operand[1:] if getattr(i, name) is not None}
+                assert used == set(operand[1:]), (op, operand)
+    assert [i.pred for i in ins if i.opcode is ws.Opcode.BRA] == [1, isa.PRED_PT, None]
+    assert ins[7].dst == ins[8].src_a == isa.REG_RZ and ins[11].pdst == isa.PRED_PT
+    text = ws.format_program(prog)
+    reparsed = ws.parse_program(text)
+    assert reparsed == prog
+    assert ws.format_program(reparsed) == text
+
+
+def test_every_opcode_has_one_spec_row_and_decode_kinds():
+    assert list(isa.SPECS) == list(ws.Opcode)
+    assert list(core._KINDS) == list(ws.Opcode)
+
+
+def test_run_validates_a_directly_built_program():
+    bad = isa.Program(instructions=(isa.Instruction(ws.Opcode.MOV, dst=0, imm=1 << 40),
+                                    isa.Instruction(ws.Opcode.EXIT)))
+    with pytest.raises(ProgramError, match="32-bit"):
+        ws.run(bad)
 
 
 def test_format_renders_suffix_prefix_and_directives():
