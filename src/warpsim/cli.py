@@ -14,8 +14,8 @@ from contextlib import contextmanager
 from .core import DEFAULT_BUDGET, LaunchConfig, run, verify_result
 from .cost import ArchProfile, charge, get_profile, load_profile
 from .errors import ModelViolation, ProgramError
-from .harness import (OracleSet, compare, emit_trace, fit_curve,
-                      format_compare_report, run_kernel, sweep, write_sweep)
+from .harness import (OracleSet, compare, emit_trace, format_compare_report, make_row,
+                      run_kernel, sweep, write_sweep)
 from .isa import format_program, parse_program
 from .kernels import KernelId, kernel_program
 
@@ -178,17 +178,13 @@ def cmd_run(args) -> int:
         f"spill_loads: {result.spill_loads}",
         f"emulated_cycles: {result.cycles}",
     ]
-    overhead = charge(result.events, profile)
-    base = profile.base_cycles.get(args.kernel) if args.kernel else None
-    if base is None:
-        lines.append(f"predicted_overhead_cycles: {overhead}")
+    if args.kernel in profile.base_cycles:
+        row = make_row(args.kernel, profile, n, result)
+        lines.append(f"predicted_cycles: {row.predicted_cycles}")
+        if row.oracle_cycles is not None:
+            lines += [f"oracle_cycles: {row.oracle_cycles}", f"diff: {row.diff}"]
     else:
-        predicted = base + overhead
-        lines.append(f"predicted_cycles: {predicted}")
-        oracle = fit_curve(args.kernel, profile.name, n)
-        if oracle is not None:
-            lines.append(f"oracle_cycles: {oracle}")
-            lines.append(f"diff: {abs(predicted - oracle)}")
+        lines.append(f"predicted_overhead_cycles: {charge(result.events, profile)}")
     with _sink(args.out) as sink:
         sink.write("\n".join(lines) + "\n")
     return EXIT_OK

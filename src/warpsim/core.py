@@ -21,11 +21,11 @@ writes.  A run is a pure function of (program, launch, profile); equal
 inputs give bit-identical results.
 
 The live cycle counter implements the pop-attributed cost policy: each
-instruction advances it by the profile's issue cost, except that a
-DIV-pop carrier advances it by ``div_cost`` total (the penalty includes
-the carrier's execution), and spill traffic adds its store/load legs
-where it occurs.  ``CLOCK`` reads the counter at issue, before the
-instruction's own charge.
+instruction executes, then advances it once by the profile's issue cost
+plus :attr:`ArchProfile.live_event_cycles` of each stack event it caused
+(a DIV-pop carrier thus advances it by ``div_cost`` total, and spill
+traffic adds its store/load legs).  ``CLOCK`` reads the counter at
+issue, before the instruction's own charge.
 
 Programs are decoded once into a flat micro-op form and executed from
 that; the decoded form is cached on the program object.
@@ -94,8 +94,7 @@ class WarpState:
     """Mutable execution state of one simulated warp."""
 
     __slots__ = ("pc", "active_mask", "launch_mask", "regs", "preds", "stack",
-                 "cycle", "halted", "slots", "profile",
-                 "_issue_cost", "_div_cost", "_store_cost", "_load_cost")
+                 "cycle", "halted", "slots", "profile", "_issue_cost", "_event_cycles")
 
     def __init__(self, program: Program, launch: LaunchConfig):
         if not 0 < launch.active_mask <= FULL_MASK:
@@ -103,7 +102,8 @@ class WarpState:
         self.pc = 0
         self.active_mask = launch.active_mask
         self.launch_mask = launch.active_mask
-        self.regs: list[list] = [[0] * WARP_SIZE for _ in range(program.register_file_size)]
+        self.regs: list = [[0] * WARP_SIZE for _ in range(program.register_file_size)]
+        self.regs.append(_ZEROS)  # RZ (index -1) reads this shared row
         for name, values in launch.registers.items():
             index = isa.register_index(name, program.register_file_size)
             if index == REG_RZ:
@@ -114,16 +114,14 @@ class WarpState:
                 )
             self.regs[index] = [isa.f32(v) if isinstance(v, float) else _wrap32(int(v))
                                 for v in values]
-        self.preds = [0] * program.predicate_file_size
+        self.preds = [0] * program.predicate_file_size + [_MASK32]  # PT (index -1)
         self.stack = launch.profile.new_stack()
         self.cycle = 0
         self.halted = False
         self.slots: list[dict[int, Union[int, float]]] = [{} for _ in range(WARP_SIZE)]
         self.profile = launch.profile
         self._issue_cost = launch.profile.issue_cost
-        self._div_cost = launch.profile.div_cost
-        self._store_cost = launch.profile.spill_store_cost
-        self._load_cost = launch.profile.spill_load_cost
+        self._event_cycles = launch.profile.live_event_cycles
 
 
 @dataclass(frozen=True)
@@ -242,8 +240,8 @@ def _decode(ins: Instruction) -> tuple:
         # Bias folded into the immediate so the lane loop wraps in one
         # add/mask/subtract sequence.
         values[-1] += _BIAS
-    if kind == _K_BRA:  # b is the @Pk predicate, None for PT (all lanes)
-        values.append(None if ins.pred == PRED_PT else ins.pred)
+    if kind == _K_BRA:  # b is the @Pk predicate; a bare BRA reads PT
+        values.append(PRED_PT if ins.pred is None else ins.pred)
     a, *rest = values or [None]
     b = rest[0] if len(rest) == 1 else tuple(rest) if rest else None
     return (kind, ins.pop_bit, a, b)
@@ -294,41 +292,30 @@ def step(state: WarpState, program: Program):
 
 
 def _exec_one(state: WarpState, item: tuple):
+    """Execute one micro-op, then charge its issue and stack events to the clock."""
     kind, pop, a, b = item
-
     if kind == _K_SSY:
         token = Token(state.active_mask, TokenKind.SYNC, a)
-        events = state.stack.push(token)
+        events = _with_tokens(state.stack.push(token), token)
         state.pc += 1
-        state.cycle += state._issue_cost
-        if len(events) == 2:  # the push evicted a chunk first
-            state.cycle += state._store_cost
-        return _with_tokens(events, token)
-
-    if kind == _K_BRA:
-        predicate = _MASK32 if b is None else state.preds[b]
-        events = exec_predicated_branch(state, a, predicate)
-        state.cycle += state._issue_cost
-        if events and len(events) == 2:
-            state.cycle += state._store_cost
-        return events
-
-    if pop:
+    elif kind == _K_BRA:
+        events = exec_predicated_branch(state, a, state.preds[b])
+    elif pop:
         token, raw_events = state.stack.pop()
         state.active_mask = token.mask
         state.pc = token.pc
         _exec_plain(state, kind, a, b)
-        charge = state._div_cost if token.kind is TokenKind.DIV else state._issue_cost
-        if len(raw_events) == 2:  # the pop reloaded a chunk first
-            charge += state._load_cost
-        state.cycle += charge
-        return _with_tokens(raw_events, token)
-
-    _exec_plain(state, kind, a, b)
-    if kind != _K_EXIT:
-        state.pc += 1
-    state.cycle += state._issue_cost
-    return _NO_EVENTS
+        events = _with_tokens(raw_events, token)
+    else:
+        _exec_plain(state, kind, a, b)
+        if kind != _K_EXIT:
+            state.pc += 1
+        events = _NO_EVENTS
+    cycles = state._issue_cost
+    for event, _ in events:
+        cycles += state._event_cycles[event]
+    state.cycle += cycles
+    return events
 
 
 def _exec_plain(state: WarpState, kind: int, a, b) -> None:
@@ -338,33 +325,33 @@ def _exec_plain(state: WarpState, kind: int, a, b) -> None:
     regs = state.regs
     active = state.active_mask
 
-    if kind == _K_IADD_RI:
-        src, biased = b
-        values = [((x + biased) & 0xFFFFFFFF) - 0x80000000
-                  for x in (_ZEROS if src == REG_RZ else regs[src])]
-    elif kind == _K_IADD_RR:
-        src_a, src_b = b
-        values = [((x + y + 0x80000000) & 0xFFFFFFFF) - 0x80000000
-                  for x, y in zip(_ZEROS if src_a == REG_RZ else regs[src_a],
-                                  _ZEROS if src_b == REG_RZ else regs[src_b])]
+    if kind == _K_IADD_RI or kind == _K_IADD_RR:
+        src, other = b
+        try:
+            if kind == _K_IADD_RI:  # other is the biased immediate
+                values = [((x + other) & 0xFFFFFFFF) - 0x80000000 for x in regs[src]]
+            else:
+                values = [((x + y + 0x80000000) & 0xFFFFFFFF) - 0x80000000
+                          for x, y in zip(regs[src], regs[other])]
+        except TypeError:  # a float lane value has no integer bits to wrap
+            raise ModelViolation("IADD of a float register value; IADD adds integers") from None
     elif kind == _K_FADD:
         src, imm = b
-        source = _ZEROS if src == REG_RZ else regs[src]
         # Sums are exact in double precision, then rounded once to
         # float32, which equals a correctly rounded float32 addition.
-        values = list(_PACK32.unpack(_PACK32.pack(*[x + imm for x in source])))
+        values = list(_PACK32.unpack(_PACK32.pack(*[x + imm for x in regs[src]])))
     elif kind == _K_ISETP_RR or kind == _K_ISETP_RI:
         if kind == _K_ISETP_RR:
             src_a, src_b = b
-            va = _ZEROS if src_a == REG_RZ else regs[src_a]
-            vb = _ZEROS if src_b == REG_RZ else regs[src_b]
+            va = regs[src_a]
+            vb = regs[src_b]
             mask = 0
             for t in lanes(active):
                 if va[t] < vb[t]:
                     mask |= 1 << t
         else:
             src, imm = b
-            va = _ZEROS if src == REG_RZ else regs[src]
+            va = regs[src]
             mask = 0
             for t in lanes(active):
                 if va[t] < imm:
@@ -375,16 +362,20 @@ def _exec_plain(state: WarpState, kind: int, a, b) -> None:
     elif kind == _K_MOV_I:
         values = [b] * WARP_SIZE
     elif kind == _K_MOV_R:
-        values = list(_ZEROS if b == REG_RZ else regs[b])
+        values = list(regs[b])
     elif kind == _K_CLOCK:
         values = [_wrap32(state.cycle)] * WARP_SIZE
     elif kind == _K_STSLOT_R or kind == _K_STSLOT_I:
-        source = _ZEROS if b == REG_RZ else regs[b]
+        source = regs[b]
         slots = state.slots
         if kind == _K_STSLOT_R:
-            indices = _ZEROS if a == REG_RZ else regs[a]
+            indices = regs[a]
             for t in lanes(active):
-                slots[t][int(indices[t])] = source[t]
+                index = indices[t]
+                if type(index) is not int or index < 0:
+                    raise ModelViolation(
+                        f"STSLOT slot index {index!r} in lane {t} is not an integer >= 0")
+                slots[t][index] = source[t]
         else:
             for t in lanes(active):
                 slots[t][a] = source[t]
@@ -488,7 +479,7 @@ def run(program: Program, launch: Union[LaunchConfig, None] = None, *,
         cycles=state.cycle,
         max_depth=max_depth,
         depth_history=tuple(depth_history),
-        registers=tuple(tuple(reg) for reg in state.regs),
+        registers=tuple(tuple(reg) for reg in state.regs[:-1]),
         slots=tuple(dict(s) for s in state.slots),
         event_log=tuple(event_log),
         final_active_mask=state.active_mask,

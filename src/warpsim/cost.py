@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
+from operator import mul
 from typing import Mapping, Union
 
 from .errors import ProgramError
 from .isa import strip_comment
-from .stack import StackEvent, SyncStack
+from .stack import SyncStack
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,16 @@ class ArchProfile:
                 raise ProgramError(f"{attr} must be >= 0")
         # Constructing a stack validates the capacity/chunk relationship.
         SyncStack(self.phys_capacity, self.spill_chunk)
+
+    @property
+    def event_cycles(self) -> tuple[int, ...]:
+        """Cycles charged per :class:`StackEvent`, indexed by its value."""
+        return (0, 0, 0, self.div_cost, self.spill_store_cost, self.spill_load_cost)
+
+    @property
+    def live_event_cycles(self) -> tuple[int, ...]:
+        """Per-event cycles on top of ``issue_cost``: a DIV pop's price covers its carrier."""
+        return (0, 0, 0, self.div_cost - self.issue_cost) + self.event_cycles[4:]
 
     def new_stack(self) -> SyncStack:
         return SyncStack(self.phys_capacity, self.spill_chunk)
@@ -99,19 +110,10 @@ class CostEvents:
     spill_stores: int = 0
     spill_loads: int = 0
 
-    _FIELDS_BY_EVENT = {
-        StackEvent.SYNC_PUSH: "sync_pushes",
-        StackEvent.DIV_PUSH: "div_pushes",
-        StackEvent.SYNC_POP: "sync_pops",
-        StackEvent.DIV_POP: "div_pops",
-        StackEvent.SPILL_STORE: "spill_stores",
-        StackEvent.SPILL_LOAD: "spill_loads",
-    }
-
     @classmethod
     def from_counts(cls, counts) -> "CostEvents":
-        """Build from a sequence indexed by :class:`StackEvent` values."""
-        return cls(**{name: counts[event] for event, name in cls._FIELDS_BY_EVENT.items()})
+        """Build from a sequence indexed by :class:`StackEvent` values, the field order."""
+        return cls(*counts)
 
     @property
     def pushes(self) -> int:
@@ -123,10 +125,8 @@ class CostEvents:
 
 
 def charge(events: CostEvents, profile: ArchProfile) -> int:
-    """Cycle overhead attributable to divergence for the given events."""
-    return (profile.div_cost * events.div_pops
-            + profile.spill_store_cost * events.spill_stores
-            + profile.spill_load_cost * events.spill_loads)
+    """Divergence overhead: each count (vars() order is StackEvent order) times its price."""
+    return sum(map(mul, vars(events).values(), profile.event_cycles))
 
 
 def predict_total(kernel_id, profile: ArchProfile, result) -> int:

@@ -33,7 +33,8 @@ Text format (UTF-8), one statement per line::
 * Registers ``R0..R{N-1}`` plus ``RZ`` (reads 0, writes dropped);
   predicates ``P0..P{K-1}`` plus ``PT`` (reads all-true, writes dropped).
 * Optional directives before the first instruction:
-  ``.registers N`` and ``.predicates K`` (defaults 16 and 7).
+  ``.registers N`` and ``.predicates K`` (defaults 16 and 7, each in
+  ``1..MAX_FILE_SIZE``).
 
 ``parse_program`` and ``format_program`` round-trip: formatting a valid
 program and re-parsing it yields a structurally equal program (label
@@ -52,6 +53,7 @@ from .errors import AsmError, ProgramError
 
 DEFAULT_REGISTER_FILE = 16
 DEFAULT_PREDICATE_FILE = 7
+MAX_FILE_SIZE = 255  # R0..R254 as in SASS (RZ is R255); bounds what a run allocates
 
 REG_RZ = -1   # zero register: reads 0, writes discarded
 PRED_PT = -1  # true predicate: reads all-ones, writes discarded
@@ -226,8 +228,9 @@ def _check_layout(program: Program) -> Program:
     exits = [i for i, ins in enumerate(ins_list) if ins.opcode is Opcode.EXIT]
     if len(exits) != 1 or exits[0] != len(ins_list) - 1:
         raise ProgramError("program must contain exactly one EXIT, as the final instruction")
-    if program.register_file_size < 1 or program.predicate_file_size < 1:
-        raise ProgramError("register and predicate file sizes must be >= 1")
+    for size in (program.register_file_size, program.predicate_file_size):
+        if not 1 <= size <= MAX_FILE_SIZE:
+            raise ProgramError(f"register and predicate file sizes must be in 1..{MAX_FILE_SIZE}")
     object.__setattr__(program, _VALID_ATTR, True)
     return program
 
@@ -366,12 +369,14 @@ def parse_program(text: str,
             parts = line.split()
             if len(parts) != 2 or (value := _parse_int_literal(parts[1])) is None:
                 raise AsmError(line_no, f"malformed directive {line!r}")
+            if parts[0] not in (".registers", ".predicates"):
+                raise AsmError(line_no, f"unknown directive {parts[0]!r}")
+            if not 1 <= value <= MAX_FILE_SIZE:
+                raise AsmError(line_no, f"{parts[0]} {value} outside 1..{MAX_FILE_SIZE}")
             if parts[0] == ".registers":
                 register_file_size = value
-            elif parts[0] == ".predicates":
-                predicate_file_size = value
             else:
-                raise AsmError(line_no, f"unknown directive {parts[0]!r}")
+                predicate_file_size = value
             continue
 
         while (match := _LABEL_RE.match(line)) is not None:

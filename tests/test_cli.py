@@ -146,6 +146,18 @@ def test_model_violation_exits_two(capsys, tmp_path):
     assert "model violation" in err
 
 
+@pytest.mark.parametrize("text", [
+    "FADD32I R1, RZ, inf\nMOV R0, 7\nSTSLOT [R1], R0\nEXIT\n",
+    "FADD32I R1, RZ, 1.5\nIADD R2, R1, 1\nEXIT\n",
+], ids=["slot-index-inf", "iadd-float"])
+def test_lane_value_violations_exit_two(capsys, tmp_path, text):
+    source = tmp_path / "bad.sasm"
+    source.write_text(text, encoding="utf-8")
+    code, _, err = invoke(capsys, "run", "--program", str(source))
+    assert code == 2
+    assert "model violation" in err
+
+
 def test_asm_error_exits_one_with_line(capsys, tmp_path):
     source = tmp_path / "bad.sasm"
     source.write_text("NOP\nFROB R1\nEXIT\n", encoding="utf-8")

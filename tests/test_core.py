@@ -150,6 +150,11 @@ class TestRun:
         """))
         assert result.register("R1") == (0,) * 32
 
+    def test_rz_row_is_not_a_result_register(self):
+        result = checked_run(ws.parse_program(".registers 3\nMOV R2, 5\nMOV RZ, 6\nEXIT"))
+        assert result.registers == ((0,) * 32, (0,) * 32, (5,) * 32)
+        assert result.register("RZ") == (0,) * 32
+
     def test_int32_wraparound(self):
         result = checked_run(ws.parse_program("""
             MOV R1, 2147483647
@@ -192,6 +197,21 @@ class TestRun:
         """))
         assert result.slots[0] == {4: 99, 0: 4}
         assert result.slots[31] == {4: 99, 0: 4}
+
+    @pytest.mark.parametrize("setup", [
+        "FADD32I R1, RZ, inf",
+        "FADD32I R1, RZ, inf\nFADD32I R1, R1, -inf",
+        "MOV R1, -3",
+        "FADD32I R1, RZ, 1.5",
+    ], ids=["inf", "nan", "negative", "fraction"])
+    def test_store_slot_index_must_be_a_non_negative_integer(self, setup):
+        with pytest.raises(ModelViolation, match="slot index"):
+            ws.run(ws.parse_program(f"{setup}\nMOV R0, 7\nSTSLOT [R1], R0\nEXIT"))
+
+    @pytest.mark.parametrize("add", ["IADD R2, R1, 1", "IADD R2, R3, R1"])
+    def test_iadd_of_a_float_is_a_model_violation(self, add):
+        with pytest.raises(ModelViolation, match="IADD"):
+            ws.run(ws.parse_program(f"FADD32I R1, RZ, 1.5\n{add}\nEXIT"))
 
     def test_counters_and_ordinals(self):
         result = checked_run(ws.parse_program("""

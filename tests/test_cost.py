@@ -1,5 +1,7 @@
 """Profiles, event charging, totals, and profile-file parsing."""
 
+from dataclasses import fields
+
 import pytest
 
 import warpsim as ws
@@ -127,3 +129,36 @@ def test_cost_events_from_counts_and_totals():
     events = CostEvents.from_counts(counts)
     assert events.sync_pushes == 2 and events.div_pops == 3
     assert events.pushes == 2 and events.pops == 3
+
+
+def test_cost_event_fields_follow_stack_event_order():
+    event = ws.StackEvent
+    field_of = {
+        event.SYNC_PUSH: "sync_pushes",
+        event.DIV_PUSH: "div_pushes",
+        event.SYNC_POP: "sync_pops",
+        event.DIV_POP: "div_pops",
+        event.SPILL_STORE: "spill_stores",
+        event.SPILL_LOAD: "spill_loads",
+    }
+    assert [f.name for f in fields(CostEvents)] == [field_of[e] for e in event]
+    assert [e.value for e in event] == list(range(len(event)))
+
+
+_PRICING_PROFILES = [
+    ws.KEPLER,
+    ws.MAXWELL,
+    ws.ArchProfile("small-stack", div_cost=2, spill_store_cost=7, spill_load_cost=11,
+                   phys_capacity=4, spill_chunk=2, issue_cost=3),
+    ws.ArchProfile("free", div_cost=0, spill_store_cost=0, spill_load_cost=0, issue_cost=0),
+]
+
+
+@pytest.mark.parametrize("profile", _PRICING_PROFILES, ids=lambda p: p.name)
+@pytest.mark.parametrize("kernel", [k.value for k in ws.KernelId])
+@pytest.mark.parametrize("n", [0, 1, 16, 17, 31])
+def test_live_clock_equals_issue_plus_charge(kernel, profile, n):
+    """Every instruction but a DIV-pop carrier pays ``issue_cost``; the rest is charge()."""
+    result = ws.run_kernel(kernel, n, profile)
+    issued = result.executed_instructions - result.events.div_pops
+    assert result.cycles == profile.issue_cost * issued + charge(result.events, profile)

@@ -82,6 +82,8 @@ def test_unconditional_and_numeric_target():
     (".registers 09\nEXIT", 1, "malformed directive"),
     ("MOV R1, 5000000000\nNOP\nNOP\nEXIT", 1, "32-bit"),
     ("FADD32I R1, RZ, nan\nEXIT", 1, "float32-exact"),
+    (".registers 100000000\nEXIT", 1, "outside 1..255"),
+    (".registers 4\n.predicates 0\nEXIT", 2, "outside 1..255"),
 ])
 def test_parse_errors_name_the_line(source, line, fragment):
     with pytest.raises(AsmError) as err:
@@ -109,6 +111,18 @@ def test_directives_resize_files():
     assert prog.predicate_file_size == 2
     with pytest.raises(AsmError, match="register"):
         ws.parse_program(".registers 4\nMOV R4, 1\nEXIT")
+
+
+def test_file_sizes_are_capped():
+    top = isa.MAX_FILE_SIZE
+    prog = ws.parse_program(f".registers {top}\n.predicates {top}\nMOV R{top - 1}, 1\nEXIT")
+    assert (prog.register_file_size, prog.predicate_file_size) == (top, top)
+    with pytest.raises(ProgramError, match="file sizes"):
+        ws.ProgramBuilder(register_file_size=top + 1).emit(ws.Opcode.EXIT).build()
+    with pytest.raises(ProgramError, match="file sizes"):
+        ws.ProgramBuilder(predicate_file_size=top + 1).emit(ws.Opcode.EXIT).build()
+    with pytest.raises(ProgramError, match="file sizes"):
+        ws.parse_program("EXIT", register_file_size=top + 1)
 
 
 def test_float_immediate_rounded_to_float32():
