@@ -122,14 +122,6 @@ def _parse_range(text) -> range:
     return range(lo_i, hi_i + 1)
 
 
-def _require_n(args) -> int:
-    if args.n is None:
-        raise ProgramError("--n is required with --kernel")
-    if not 0 <= args.n <= 31:
-        raise ProgramError(f"--n must be in 0..31, got {args.n}")
-    return args.n
-
-
 @contextmanager
 def _sink(path):
     if path is None:
@@ -145,10 +137,11 @@ def _run_from_args(args, profile, record_trace=False):
         if args.reg:
             raise ProgramError("--reg applies only to --program runs; "
                                "built-in kernels take their bounds from --n")
-        n = _require_n(args)
-        result = run_kernel(args.kernel, n, profile, budget=args.budget,
+        if args.n is None:
+            raise ProgramError("--n is required with --kernel")
+        result = run_kernel(args.kernel, args.n, profile, budget=args.budget,
                             record_trace=record_trace)
-        return args.kernel, n, result
+        return args.kernel, args.n, result
     with open(args.program, "r", encoding="utf-8") as handle:
         program = parse_program(handle.read())
     registers = dict(_parse_reg_option(option) for option in args.reg)

@@ -26,9 +26,6 @@ plus :attr:`ArchProfile.live_event_cycles` of each stack event it caused
 (a DIV-pop carrier thus advances it by ``div_cost`` total, and spill
 traffic adds its store/load legs).  ``CLOCK`` reads the counter at
 issue, before the instruction's own charge.
-
-Programs are decoded once into a flat micro-op form and executed from
-that; the decoded form is cached on the program object.
 """
 
 from __future__ import annotations
@@ -94,7 +91,7 @@ class WarpState:
     """Mutable execution state of one simulated warp."""
 
     __slots__ = ("pc", "active_mask", "launch_mask", "regs", "preds", "stack",
-                 "cycle", "halted", "slots", "profile", "_issue_cost", "_event_cycles")
+                 "cycle", "halted", "slots", "_issue_cost", "_event_cycles")
 
     def __init__(self, program: Program, launch: LaunchConfig):
         if not 0 < launch.active_mask <= FULL_MASK:
@@ -119,7 +116,6 @@ class WarpState:
         self.cycle = 0
         self.halted = False
         self.slots: list[dict[int, Union[int, float]]] = [{} for _ in range(WARP_SIZE)]
-        self.profile = launch.profile
         self._issue_cost = launch.profile.issue_cost
         self._event_cycles = launch.profile.live_event_cycles
 
@@ -198,63 +194,11 @@ class RunResult:
         return _ZEROS if index == REG_RZ else self.registers[index]
 
 
-# Micro-op kinds the decoder lowers instructions to.  Control kinds come
-# first so the executor can split on a single integer compare.
-(_K_SSY, _K_BRA, _K_EXIT, _K_NOP, _K_IADD_RR, _K_IADD_RI, _K_FADD, _K_ISETP_RR,
- _K_ISETP_RI, _K_MOV_R, _K_MOV_I, _K_CLOCK, _K_STSLOT_R, _K_STSLOT_I) = range(14)
-
-_CODE_ATTR = "_warpsim_code"
-
-
-# Micro-op kind of each opcode: (register form, immediate form).  The
-# immediate form applies when a "reg|int" operand holds an integer.
-_KINDS = {
-    Opcode.SSY: (_K_SSY, _K_SSY),
-    Opcode.BRA: (_K_BRA, _K_BRA),
-    Opcode.NOP: (_K_NOP, _K_NOP),
-    Opcode.IADD: (_K_IADD_RR, _K_IADD_RI),
-    Opcode.FADD_IMM: (_K_FADD, _K_FADD),
-    Opcode.ISETP_LT: (_K_ISETP_RR, _K_ISETP_RI),
-    Opcode.MOV: (_K_MOV_R, _K_MOV_I),
-    Opcode.CLOCK: (_K_CLOCK, _K_CLOCK),
-    Opcode.STORE_SLOT: (_K_STSLOT_R, _K_STSLOT_I),
-    Opcode.EXIT: (_K_EXIT, _K_EXIT),
-}
-
-
-def _decode(ins: Instruction) -> tuple:
-    """Lower one instruction to (kind, pop_bit, a, b) for fast dispatch.
-
-    ``a`` is the first operand value in :data:`isa.SPECS` order and ``b``
-    the rest: None, one value, or a tuple of several.
-    """
-    kind, imm_kind = _KINDS[ins.opcode]
-    values = []
-    for operand in isa.SPECS[ins.opcode].operands:
-        value = getattr(ins, operand[1])
-        if value is None and len(operand) == 3:
-            kind = imm_kind
-            value = getattr(ins, operand[2])
-        values.append(value)
-    if kind == _K_IADD_RI:
-        # Bias folded into the immediate so the lane loop wraps in one
-        # add/mask/subtract sequence.
-        values[-1] += _BIAS
-    if kind == _K_BRA:  # b is the @Pk predicate; a bare BRA reads PT
-        values.append(PRED_PT if ins.pred is None else ins.pred)
-    a, *rest = values or [None]
-    b = rest[0] if len(rest) == 1 else tuple(rest) if rest else None
-    return (kind, ins.pop_bit, a, b)
-
-
-def _code_for(program: Program) -> tuple[tuple, ...]:
-    """Decoded micro-ops for a program, cached on the (frozen) instance."""
-    code = getattr(program, _CODE_ATTR, None)
-    if code is None:
-        isa.validate_program(program)
-        code = tuple(_decode(ins) for ins in program.instructions)
-        object.__setattr__(program, _CODE_ATTR, code)
-    return code
+# Opcodes as module globals for the dispatch: on CPython 3.11 an ``Opcode.X``
+# read goes through ``EnumType.__getattr__`` and costs about ten global reads.
+_SSY, _BRA, _NOP, _IADD, _FADD, _ISETP, _MOV, _CLOCK, _STSLOT, _EXIT = (
+    Opcode.SSY, Opcode.BRA, Opcode.NOP, Opcode.IADD, Opcode.FADD_IMM, Opcode.ISETP_LT,
+    Opcode.MOV, Opcode.CLOCK, Opcode.STORE_SLOT, Opcode.EXIT)
 
 
 def exec_predicated_branch(state: WarpState, target: int, predicate: int):
@@ -284,31 +228,32 @@ def step(state: WarpState, program: Program):
     Dispatch order mirrors the hardware model: SSY, then predicated
     branches, then the pop-bit, then plain lane-wise execution.
     """
-    code = _code_for(program)
+    isa.validate_program(program)
     pc = state.pc
-    if not 0 <= pc < len(code):
+    if not 0 <= pc < len(program.instructions):
         raise ModelViolation(f"program counter {pc} out of range")
-    return _exec_one(state, code[pc])
+    return _exec_one(state, program.instructions[pc])
 
 
-def _exec_one(state: WarpState, item: tuple):
-    """Execute one micro-op, then charge its issue and stack events to the clock."""
-    kind, pop, a, b = item
-    if kind == _K_SSY:
-        token = Token(state.active_mask, TokenKind.SYNC, a)
+def _exec_one(state: WarpState, ins: Instruction):
+    """Execute one instruction, then charge its issue and stack events to the clock."""
+    op = ins.opcode
+    if op is _SSY:
+        token = Token(state.active_mask, TokenKind.SYNC, ins.target)
         events = _with_tokens(state.stack.push(token), token)
         state.pc += 1
-    elif kind == _K_BRA:
-        events = exec_predicated_branch(state, a, state.preds[b])
-    elif pop:
+    elif op is _BRA:  # a bare BRA reads PT
+        pred = PRED_PT if ins.pred is None else ins.pred
+        events = exec_predicated_branch(state, ins.target, state.preds[pred])
+    elif ins.pop_bit:
         token, raw_events = state.stack.pop()
         state.active_mask = token.mask
         state.pc = token.pc
-        _exec_plain(state, kind, a, b)
+        _exec_plain(state, ins)
         events = _with_tokens(raw_events, token)
     else:
-        _exec_plain(state, kind, a, b)
-        if kind != _K_EXIT:
+        _exec_plain(state, ins)
+        if op is not _EXIT:
             state.pc += 1
         events = _NO_EVENTS
     cycles = state._issue_cost
@@ -318,58 +263,61 @@ def _exec_one(state: WarpState, item: tuple):
     return events
 
 
-def _exec_plain(state: WarpState, kind: int, a, b) -> None:
-    """Lane-wise execution of non-control micro-ops under the active mask."""
-    if kind == _K_NOP:
+def _exec_plain(state: WarpState, ins: Instruction) -> None:
+    """Lane-wise execution of non-control instructions under the active mask.
+
+    A ``reg|int`` operand is its immediate when its register field is None.
+    """
+    op = ins.opcode
+    if op is _NOP:
         return
     regs = state.regs
     active = state.active_mask
 
-    if kind == _K_IADD_RI or kind == _K_IADD_RR:
-        src, other = b
+    if op is _IADD:
+        xs = regs[ins.src_a]
         try:
-            if kind == _K_IADD_RI:  # other is the biased immediate
-                values = [((x + other) & 0xFFFFFFFF) - 0x80000000 for x in regs[src]]
+            if ins.src_b is None:
+                # Bias folded into the immediate so each lane wraps in one
+                # add/mask/subtract sequence.
+                other = ins.imm + _BIAS
+                values = [((x + other) & 0xFFFFFFFF) - 0x80000000 for x in xs]
             else:
                 values = [((x + y + 0x80000000) & 0xFFFFFFFF) - 0x80000000
-                          for x, y in zip(regs[src], regs[other])]
-        except TypeError:  # a float lane value has no integer bits to wrap
-            raise ModelViolation("IADD of a float register value; IADD adds integers") from None
-    elif kind == _K_FADD:
-        src, imm = b
+                          for x, y in zip(xs, regs[ins.src_b])]
+        except TypeError:  # a float has no integer bits to wrap; only active lanes count
+            ys = (ins.imm,) * WARP_SIZE if ins.src_b is None else regs[ins.src_b]
+            values = [0] * WARP_SIZE
+            for t in lanes(active):
+                if type(xs[t]) is float or type(ys[t]) is float:
+                    raise ModelViolation(
+                        "IADD of a float register value; IADD adds integers") from None
+                values[t] = _wrap32(xs[t] + ys[t])
+    elif op is _FADD:
+        imm = ins.imm
         # Sums are exact in double precision, then rounded once to
         # float32, which equals a correctly rounded float32 addition.
-        values = list(_PACK32.unpack(_PACK32.pack(*[x + imm for x in regs[src]])))
-    elif kind == _K_ISETP_RR or kind == _K_ISETP_RI:
-        if kind == _K_ISETP_RR:
-            src_a, src_b = b
-            va = regs[src_a]
-            vb = regs[src_b]
-            mask = 0
-            for t in lanes(active):
-                if va[t] < vb[t]:
-                    mask |= 1 << t
-        else:
-            src, imm = b
-            va = regs[src]
-            mask = 0
-            for t in lanes(active):
-                if va[t] < imm:
-                    mask |= 1 << t
-        if a != PRED_PT:
-            state.preds[a] = (state.preds[a] & ~active & _MASK32) | mask
+        values = list(_PACK32.unpack(_PACK32.pack(*[x + imm for x in regs[ins.src_a]])))
+    elif op is _ISETP:
+        va = regs[ins.src_a]
+        vb = (ins.imm,) * WARP_SIZE if ins.src_b is None else regs[ins.src_b]
+        mask = 0
+        for t in lanes(active):
+            if va[t] < vb[t]:
+                mask |= 1 << t
+        pdst = ins.pdst
+        if pdst != PRED_PT:
+            state.preds[pdst] = (state.preds[pdst] & ~active & _MASK32) | mask
         return
-    elif kind == _K_MOV_I:
-        values = [b] * WARP_SIZE
-    elif kind == _K_MOV_R:
-        values = list(regs[b])
-    elif kind == _K_CLOCK:
+    elif op is _MOV:
+        values = [ins.imm] * WARP_SIZE if ins.src_a is None else list(regs[ins.src_a])
+    elif op is _CLOCK:
         values = [_wrap32(state.cycle)] * WARP_SIZE
-    elif kind == _K_STSLOT_R or kind == _K_STSLOT_I:
-        source = regs[b]
+    elif op is _STSLOT:
+        source = regs[ins.src_a]
         slots = state.slots
-        if kind == _K_STSLOT_R:
-            indices = regs[a]
+        if ins.slot_reg is not None:
+            indices = regs[ins.slot_reg]
             for t in lanes(active):
                 index = indices[t]
                 if type(index) is not int or index < 0:
@@ -377,10 +325,11 @@ def _exec_plain(state: WarpState, kind: int, a, b) -> None:
                         f"STSLOT slot index {index!r} in lane {t} is not an integer >= 0")
                 slots[t][index] = source[t]
         else:
+            slot = ins.slot
             for t in lanes(active):
-                slots[t][a] = source[t]
+                slots[t][slot] = source[t]
         return
-    elif kind == _K_EXIT:
+    elif op is _EXIT:
         if state.stack.depth != 0:
             raise ModelViolation(
                 f"EXIT with {state.stack.depth} tokens still on the stack"
@@ -392,16 +341,17 @@ def _exec_plain(state: WarpState, kind: int, a, b) -> None:
             )
         state.halted = True
         return
-    else:  # pragma: no cover - exhaustive over micro-op kinds
-        raise ModelViolation(f"cannot execute micro-op kind {kind}")
+    else:  # pragma: no cover - exhaustive over opcodes
+        raise ModelViolation(f"cannot execute opcode {op.value}")
 
     # Masked register write; RZ destinations are discarded.
-    if a == REG_RZ:
+    dst = ins.dst
+    if dst == REG_RZ:
         return
     if active == FULL_MASK:
-        regs[a] = values
+        regs[dst] = values
     else:
-        reg = regs[a]
+        reg = regs[dst]
         for t in lanes(active):
             reg[t] = values[t]
 
@@ -415,7 +365,7 @@ def run(program: Program, launch: Union[LaunchConfig, None] = None, *,
     from an empty stack, out-of-range program counters, or an EXIT that
     leaves tokens on the stack.
     """
-    code = _code_for(program)
+    isa.validate_program(program)
     if launch is None:
         launch = LaunchConfig()
     state = WarpState(program, launch)
@@ -428,7 +378,8 @@ def run(program: Program, launch: Union[LaunchConfig, None] = None, *,
     branches = 0
     depth = 0
     max_depth = 0
-    length = len(code)
+    instructions = program.instructions
+    length = len(instructions)
     stack = state.stack
 
     while not state.halted:
@@ -439,11 +390,11 @@ def run(program: Program, launch: Union[LaunchConfig, None] = None, *,
         pc = state.pc
         if not 0 <= pc < length:
             raise ModelViolation(f"program counter {pc} out of range")
-        item = code[pc]
+        ins = instructions[pc]
         active_before = state.active_mask
-        events = _exec_one(state, item)
+        events = _exec_one(state, ins)
         executed += 1
-        if item[0] == _K_BRA:
+        if ins.opcode is _BRA:
             branches += 1
 
         if events:
@@ -461,7 +412,6 @@ def run(program: Program, launch: Union[LaunchConfig, None] = None, *,
                 if depth > max_depth:
                     max_depth = depth
         if trace is not None:
-            ins = program.instructions[pc]
             trace.append(TraceRecord(
                 ordinal=executed,
                 pc=pc,

@@ -177,29 +177,25 @@ def predicate_name(index: int) -> str:
 
 def register_index(name: str, file_size: int = DEFAULT_REGISTER_FILE) -> int:
     """Parse a register name ("R4" or "RZ") into an index."""
-    text = name.strip().upper()
-    if text == "RZ":
-        return REG_RZ
-    match = re.fullmatch(r"R(\d+)", text)
-    if not match:
-        raise ProgramError(f"not a register name: {name!r}")
-    index = int(match.group(1))
-    if index >= file_size:
-        raise ProgramError(f"register {text} outside file of {file_size}")
-    return index
+    return _file_index(name, file_size, "register", "RZ")
 
 
 def predicate_index(name: str, file_size: int = DEFAULT_PREDICATE_FILE) -> int:
     """Parse a predicate name ("P0" or "PT") into an index."""
+    return _file_index(name, file_size, "predicate", "PT")
+
+
+def _file_index(name: str, file_size: int, kind: str, special: str) -> int:
+    """Index of ``name`` in a file whose read-only row ``special`` (RZ or PT) is -1."""
     text = name.strip().upper()
-    if text == "PT":
-        return PRED_PT
-    match = re.fullmatch(r"P(\d+)", text)
+    if text == special:
+        return -1  # REG_RZ or PRED_PT
+    match = re.fullmatch(special[0] + r"(\d+)", text)
     if not match:
-        raise ProgramError(f"not a predicate name: {name!r}")
+        raise ProgramError(f"not a {kind} name: {name!r}")
     index = int(match.group(1))
     if index >= file_size:
-        raise ProgramError(f"predicate {text} outside file of {file_size}")
+        raise ProgramError(f"{kind} {text} outside file of {file_size}")
     return index
 
 

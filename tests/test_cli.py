@@ -158,6 +158,17 @@ def test_lane_value_violations_exit_two(capsys, tmp_path, text):
     assert "model violation" in err
 
 
+def test_iadd_ignores_a_float_in_an_inactive_lane(capsys, tmp_path):
+    source = tmp_path / "inactive.sasm"
+    source.write_text("SSY join\nISETP.LT P0, R5, 16\n@P0 BRA flt\nIADD R2, R1, 1\n"
+                      "BRA unwind\nflt: FADD32I R1, RZ, 1.5\nunwind: NOP.S\njoin: EXIT\n",
+                      encoding="utf-8")
+    lanes = ",".join(str(t) for t in range(32))
+    code, out, err = invoke(capsys, "run", "--program", str(source), "--reg", f"R5={lanes}")
+    assert code == 0 and err == ""
+    assert "div_pushes: 1" in out
+
+
 def test_asm_error_exits_one_with_line(capsys, tmp_path):
     source = tmp_path / "bad.sasm"
     source.write_text("NOP\nFROB R1\nEXIT\n", encoding="utf-8")

@@ -17,6 +17,39 @@ def fresh_state(source="NOP\nEXIT", **launch_kwargs):
     return WarpState(program, ws.LaunchConfig(**launch_kwargs)), program
 
 
+INACTIVE_FLOAT_IADD = """
+        SSY join
+        ISETP.LT P0, R5, 16
+        @P0 BRA flt
+        {add}
+        BRA unwind
+flt:    FADD32I R1, RZ, 1.5
+unwind: NOP.S
+join:   EXIT
+"""
+
+# Straight-line use of every opcode and of both forms of every reg|int
+# and [reg|int] operand; R8 holds the lane index.
+EVERY_OPCODE = """
+        MOV R1, 7           ; immediate form: 7
+        MOV R2, R8          ; register form: t
+        IADD R3, R2, -10    ; immediate form: t - 10
+        IADD R4, R3, R1     ; register form: t - 3
+        FADD32I R5, RZ, 0.5
+        ISETP.LT P0, R8, 3  ; immediate form: lanes 0..2
+        ISETP.LT P1, R8, R1 ; register form: lanes 0..6
+        SSY join
+        @P2 BRA join        ; taken by no lane
+        BRA next            ; bare BRA: taken by every lane
+        MOV R1, 99          ; skipped
+next:   CLOCK R6            ; 10 instructions issued before it
+        NOP.S               ; pops the SYNC token
+join:   STSLOT [R2], R4     ; register form: slot t
+        STSLOT [40], R5     ; immediate form: slot 40
+        EXIT
+"""
+
+
 class TestPredicatedBranch:
     def test_none_taken_falls_through(self):
         state, _ = fresh_state()
@@ -212,6 +245,34 @@ class TestRun:
     def test_iadd_of_a_float_is_a_model_violation(self, add):
         with pytest.raises(ModelViolation, match="IADD"):
             ws.run(ws.parse_program(f"FADD32I R1, RZ, 1.5\n{add}\nEXIT"))
+
+    @pytest.mark.parametrize("add", ["IADD R2, R1, 1", "IADD R2, R1, R7"])
+    def test_iadd_ignores_a_float_in_an_inactive_lane(self, add):
+        # Lanes 0..15 write a float to R1 on the taken path; the IADD runs
+        # afterwards on lanes 16..31 only, whose R1 still holds 0.
+        result = checked_run(ws.parse_program(INACTIVE_FLOAT_IADD.format(add=add)),
+                             ws.LaunchConfig(registers={"R5": list(range(32)), "R7": [1] * 32}))
+        assert result.register("R2") == (0,) * 16 + (1,) * 16
+        assert result.register("R1") == (1.5,) * 16 + (0,) * 16
+
+    def test_every_opcode_executes(self):
+        program = ws.parse_program(EVERY_OPCODE)
+        assert {ins.opcode for ins in program.instructions} == set(ws.Opcode)
+        launch = ws.LaunchConfig(registers={"R8": list(range(32))})
+        state = WarpState(program, launch)
+        while not state.halted:
+            step(state, program)
+        lane = range(32)
+        registers = [(0,) * 32] * 16
+        registers[1:7] = [(7,) * 32, tuple(lane), tuple(t - 10 for t in lane),
+                          tuple(t - 3 for t in lane), (0.5,) * 32, (10,) * 32]
+        registers[8] = tuple(lane)
+        assert [tuple(reg) for reg in state.regs[:-1]] == registers
+        assert state.preds[:-1] == [0b111, 0x7F, 0, 0, 0, 0, 0]
+        assert state.slots == [{t: t - 3, 40: 0.5} for t in lane]
+        result = checked_run(program, launch)
+        assert list(result.registers) == registers and list(result.slots) == state.slots
+        assert result.cycles == state.cycle == 15
 
     def test_counters_and_ordinals(self):
         result = checked_run(ws.parse_program("""

@@ -3,7 +3,7 @@
 import pytest
 
 import warpsim as ws
-from warpsim import core, isa
+from warpsim import isa
 from warpsim.errors import AsmError, ProgramError
 
 
@@ -193,7 +193,6 @@ def test_round_trip_covers_every_opcode_and_operand_form():
 
 def test_every_opcode_has_one_spec_row_and_decode_kinds():
     assert list(isa.SPECS) == list(ws.Opcode)
-    assert list(core._KINDS) == list(ws.Opcode)
 
 
 def test_run_validates_a_directly_built_program():
@@ -270,3 +269,17 @@ def test_register_and_predicate_names():
     assert isa.predicate_name(3) == "P3"
     with pytest.raises(ProgramError):
         isa.register_index("Q1")
+
+
+@pytest.mark.parametrize("parse,name,size,message", [
+    (isa.register_index, "Q1", 16, "not a register name: 'Q1'"),
+    (isa.register_index, "PT", 16, "not a register name: 'PT'"),
+    (isa.register_index, " r4 ", 4, "register R4 outside file of 4"),
+    (isa.predicate_index, "RZ", 7, "not a predicate name: 'RZ'"),
+    (isa.predicate_index, "P", 7, "not a predicate name: 'P'"),
+    (isa.predicate_index, "p7", 7, "predicate P7 outside file of 7"),
+])
+def test_register_and_predicate_index_errors(parse, name, size, message):
+    with pytest.raises(ProgramError) as err:
+        parse(name, size)
+    assert str(err.value) == message
