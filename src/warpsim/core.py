@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 from . import isa
 from .cost import KEPLER, ArchProfile, CostEvents
@@ -109,8 +109,12 @@ class WarpState:
                 raise ProgramError(
                     f"launch register {name} needs {WARP_SIZE} values, got {len(values)}"
                 )
-            self.regs[index] = [isa.f32(v) if isinstance(v, float) else _wrap32(int(v))
-                                for v in values]
+            try:
+                self.regs[index] = [isa.f32(v) if isinstance(v, float) else _wrap32(int(v))
+                                    for v in values]
+            except OverflowError:
+                raise ProgramError(
+                    f"launch register {name} holds a value outside the float32 range") from None
         self.preds = [0] * program.predicate_file_size + [_MASK32]  # PT (index -1)
         self.stack = launch.profile.new_stack()
         self.cycle = 0
@@ -120,8 +124,7 @@ class WarpState:
         self._event_cycles = launch.profile.live_event_cycles
 
 
-@dataclass(frozen=True)
-class EventRecord:
+class EventRecord(NamedTuple):
     """One stack event with enough context to audit the mask discipline.
 
     ``depth`` is the logical stack depth after the instruction that
@@ -138,8 +141,7 @@ class EventRecord:
     active_after: int
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """Post-instruction snapshot for trace emission."""
 
     ordinal: int
@@ -194,11 +196,15 @@ class RunResult:
         return _ZEROS if index == REG_RZ else self.registers[index]
 
 
-# Opcodes as module globals for the dispatch: on CPython 3.11 an ``Opcode.X``
-# read goes through ``EnumType.__getattr__`` and costs about ten global reads.
+# Enum members as module globals for the per-instruction and per-event paths:
+# on CPython 3.11 an ``Opcode.X`` read goes through ``EnumType.__getattr__``
+# and costs about ten global reads.
 _SSY, _BRA, _NOP, _IADD, _FADD, _ISETP, _MOV, _CLOCK, _STSLOT, _EXIT = (
     Opcode.SSY, Opcode.BRA, Opcode.NOP, Opcode.IADD, Opcode.FADD_IMM, Opcode.ISETP_LT,
     Opcode.MOV, Opcode.CLOCK, Opcode.STORE_SLOT, Opcode.EXIT)
+_SYNC, _DIV = TokenKind.SYNC, TokenKind.DIV
+_DIV_PUSH, _SYNC_POP, _DIV_POP = StackEvent.DIV_PUSH, StackEvent.SYNC_POP, StackEvent.DIV_POP
+_EVENT_NAMES = tuple(event.name for event in StackEvent)  # trace labels, by StackEvent
 
 
 def exec_predicated_branch(state: WarpState, target: int, predicate: int):
@@ -215,7 +221,7 @@ def exec_predicated_branch(state: WarpState, target: int, predicate: int):
     if taken == active:
         state.pc = target
         return _NO_EVENTS
-    token = Token(active & ~taken & _MASK32, TokenKind.DIV, state.pc + 1)
+    token = Token(active & ~taken & _MASK32, _DIV, state.pc + 1)
     events = state.stack.push(token)
     state.active_mask = taken
     state.pc = target
@@ -239,7 +245,7 @@ def _exec_one(state: WarpState, ins: Instruction):
     """Execute one instruction, then charge its issue and stack events to the clock."""
     op = ins.opcode
     if op is _SSY:
-        token = Token(state.active_mask, TokenKind.SYNC, ins.target)
+        token = Token(state.active_mask, _SYNC, ins.target)
         events = _with_tokens(state.stack.push(token), token)
         state.pc += 1
     elif op is _BRA:  # a bare BRA reads PT
@@ -297,7 +303,17 @@ def _exec_plain(state: WarpState, ins: Instruction) -> None:
         imm = ins.imm
         # Sums are exact in double precision, then rounded once to
         # float32, which equals a correctly rounded float32 addition.
-        values = list(_PACK32.unpack(_PACK32.pack(*[x + imm for x in regs[ins.src_a]])))
+        xs = regs[ins.src_a]
+        try:
+            values = list(_PACK32.unpack(_PACK32.pack(*[x + imm for x in xs])))
+        except OverflowError:  # only active lanes must stay in float32 range
+            values = [0] * WARP_SIZE
+            for t in lanes(active):
+                try:
+                    values[t] = isa.f32(xs[t] + imm)
+                except OverflowError:
+                    raise ModelViolation(f"FADD32I result {xs[t] + imm!r} in lane {t} "
+                                         "is outside the float32 range") from None
     elif op is _ISETP:
         va = regs[ins.src_a]
         vb = (ins.imm,) * WARP_SIZE if ins.src_b is None else regs[ins.src_b]
@@ -373,7 +389,6 @@ def run(program: Program, launch: Union[LaunchConfig, None] = None, *,
     counts = [0] * len(StackEvent)
     event_log: list[EventRecord] = []
     depth_history: list[tuple[int, int]] = [(0, 0)]
-    trace: Union[list[TraceRecord], None] = [] if record_trace else None
     executed = 0
     branches = 0
     depth = 0
@@ -381,6 +396,10 @@ def run(program: Program, launch: Union[LaunchConfig, None] = None, *,
     instructions = program.instructions
     length = len(instructions)
     stack = state.stack
+    trace: Union[list[TraceRecord], None] = None
+    if record_trace:
+        trace = []
+        labels = [ins.opcode.value + (".S" if ins.pop_bit else "") for ins in instructions]
 
     while not state.halted:
         if executed >= budget:
@@ -412,15 +431,9 @@ def run(program: Program, launch: Union[LaunchConfig, None] = None, *,
                 if depth > max_depth:
                     max_depth = depth
         if trace is not None:
-            trace.append(TraceRecord(
-                ordinal=executed,
-                pc=pc,
-                opcode=ins.opcode.value + (".S" if ins.pop_bit else ""),
-                active_mask=state.active_mask,
-                depth=depth,
-                events=tuple(event.name for event, _ in events),
-                cycle=state.cycle,
-            ))
+            names = tuple([_EVENT_NAMES[event] for event, _ in events]) if events else ()
+            trace.append(TraceRecord(executed, pc, labels[pc], state.active_mask, depth,
+                                     names, state.cycle))
 
     return RunResult(
         events=CostEvents.from_counts(counts),
@@ -473,14 +486,14 @@ def verify_result(result: RunResult) -> RunResult:
         raise ModelViolation("max_depth inconsistent with depth history")
 
     for record in result.event_log:
-        if record.kind is StackEvent.DIV_PUSH:
+        if record.kind is _DIV_PUSH:
             if record.token_mask == 0:
                 raise ModelViolation("DIV token with empty mask")
             if record.token_mask & record.active_after:
                 raise ModelViolation("DIV token overlaps the surviving active mask")
             if (record.token_mask | record.active_after) != record.active_before:
                 raise ModelViolation("divergence does not partition the active mask")
-        elif record.kind in (StackEvent.SYNC_POP, StackEvent.DIV_POP):
+        elif record.kind is _SYNC_POP or record.kind is _DIV_POP:
             if record.active_after != record.token_mask:
                 raise ModelViolation("pop did not restore the token mask")
     return result

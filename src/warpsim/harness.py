@@ -29,6 +29,11 @@ from .cost import ArchProfile, charge
 from .errors import ProgramError
 from .kernels import KernelId, bound_pattern, kernel_launch, kernel_program
 
+_JSONL_RECORD = ('{"ordinal": %d, "pc": %d, "opcode": "%s", "active_mask": "0x%08x", '
+                 '"depth": %d, "event": %s, "cycle": %d}\n')
+_CSV_TRACE_HEADER = "ordinal,pc,opcode,active_mask,depth,event,cycle\n"
+_CSV_RECORD = "%d,%d,%s,0x%08x,%d,%s,%d\n"
+
 CSV_HEADER = ("n", "kernel", "arch", "div_pushes", "total_pushes", "max_depth",
               "spills", "extra_branches", "predicted_cycles", "oracle_cycles", "diff")
 
@@ -146,7 +151,6 @@ def sweep(kernel: Union[KernelId, str], profile: ArchProfile,
     kernel = KernelId(kernel)
     rows = []
     for n in sorted(set(range(32) if ns is None else ns)):
-        _check_n(n)
         result = verify_result(run_kernel(kernel, n, profile, budget=budget))
         rows.append(make_row(kernel, profile, n, result))
     return rows
@@ -296,25 +300,19 @@ def emit_trace(result: RunResult, sink, fmt: str = "jsonl") -> None:
     cycle}; the depth column against ordinal reproduces the stack
     history plots.  Requires a run made with ``record_trace=True``.
     """
-    if result.trace is None:
+    trace = result.trace
+    if trace is None:
         raise ProgramError("run was not traced; re-run with record_trace=True")
     if fmt == "jsonl":
-        for record in result.trace:
-            sink.write(json.dumps({
-                "ordinal": record.ordinal,
-                "pc": record.pc,
-                "opcode": record.opcode,
-                "active_mask": f"0x{record.active_mask:08x}",
-                "depth": record.depth,
-                "event": list(record.events),
-                "cycle": record.cycle,
-            }) + "\n")
+        # json.dumps of {ordinal, pc, opcode, active_mask, depth, event, cycle}
+        # spelled out; opcode labels are mnemonics that need no escaping.
+        events = {names: json.dumps(list(names)) for names in {r.events for r in trace}}
+        sink.writelines(_JSONL_RECORD % (ordinal, pc, opcode, mask, depth, events[names], cycle)
+                        for ordinal, pc, opcode, mask, depth, names, cycle in trace)
     elif fmt == "csv":
-        writer = csv.writer(sink, lineterminator="\n")
-        writer.writerow(("ordinal", "pc", "opcode", "active_mask", "depth", "event", "cycle"))
-        for record in result.trace:
-            writer.writerow((record.ordinal, record.pc, record.opcode,
-                             f"0x{record.active_mask:08x}", record.depth,
-                             "+".join(record.events), record.cycle))
+        # csv.writer's bytes: no field holds a comma, quote or line break.
+        sink.write(_CSV_TRACE_HEADER)
+        sink.writelines(_CSV_RECORD % (ordinal, pc, opcode, mask, depth, "+".join(names), cycle)
+                        for ordinal, pc, opcode, mask, depth, names, cycle in trace)
     else:
         raise ProgramError(f"unknown trace format {fmt!r}")

@@ -23,6 +23,10 @@ class TokenKind(Enum):
     DIV = "DIV"    # pushed by a partially taken branch; holds the not-taken lanes
 
 
+# A global read, not ``TokenKind.DIV`` (``EnumType.__getattr__``), on every push.
+_DIV = TokenKind.DIV
+
+
 class Token(NamedTuple):
     """One stack entry: lane mask, kind tag, resume address.
 
@@ -94,7 +98,7 @@ class SyncStack:
 
     def push(self, token: Token) -> tuple[StackEvent, ...]:
         """Push a token, spilling the oldest chunk first if on-chip is full."""
-        if token.kind is TokenKind.DIV and token.mask == 0:
+        if token.kind is _DIV and token.mask == 0:
             raise ModelViolation("DIV token with empty mask")
         onchip = self._onchip
         spilled = False

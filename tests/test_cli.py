@@ -149,7 +149,8 @@ def test_model_violation_exits_two(capsys, tmp_path):
 @pytest.mark.parametrize("text", [
     "FADD32I R1, RZ, inf\nMOV R0, 7\nSTSLOT [R1], R0\nEXIT\n",
     "FADD32I R1, RZ, 1.5\nIADD R2, R1, 1\nEXIT\n",
-], ids=["slot-index-inf", "iadd-float"])
+    ".registers 4\nFADD32I R1, RZ, 3e38\nFADD32I R1, R1, 3e38\nEXIT\n",
+], ids=["slot-index-inf", "iadd-float", "fadd-overflow"])
 def test_lane_value_violations_exit_two(capsys, tmp_path, text):
     source = tmp_path / "bad.sasm"
     source.write_text(text, encoding="utf-8")
@@ -167,6 +168,14 @@ def test_iadd_ignores_a_float_in_an_inactive_lane(capsys, tmp_path):
     code, out, err = invoke(capsys, "run", "--program", str(source), "--reg", f"R5={lanes}")
     assert code == 0 and err == ""
     assert "div_pushes: 1" in out
+
+
+def test_reg_float_outside_float32_exits_one(capsys, tmp_path):
+    source = tmp_path / "prog.sasm"
+    source.write_text("IADD R2, R1, 0\nEXIT\n", encoding="utf-8")
+    code, out, err = invoke(capsys, "run", "--program", str(source), "--reg", "R1=1e39")
+    assert code == 1 and out == ""
+    assert "R1" in err and "float32" in err
 
 
 def test_asm_error_exits_one_with_line(capsys, tmp_path):

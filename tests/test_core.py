@@ -28,6 +28,17 @@ unwind: NOP.S
 join:   EXIT
 """
 
+INACTIVE_LARGE_FADD = """
+        SSY join
+        ISETP.LT P0, R5, 16
+        @P0 BRA big
+        FADD32I R2, R1, 3e38
+        BRA unwind
+big:    FADD32I R1, RZ, 3e38
+unwind: NOP.S
+join:   EXIT
+"""
+
 # Straight-line use of every opcode and of both forms of every reg|int
 # and [reg|int] operand; R8 holds the lane index.
 EVERY_OPCODE = """
@@ -254,6 +265,26 @@ class TestRun:
                              ws.LaunchConfig(registers={"R5": list(range(32)), "R7": [1] * 32}))
         assert result.register("R2") == (0,) * 16 + (1,) * 16
         assert result.register("R1") == (1.5,) * 16 + (0,) * 16
+
+    @pytest.mark.parametrize("imm", ["3e38", "-3e38"])
+    def test_fadd_outside_float32_range_is_a_model_violation(self, imm):
+        program = ws.parse_program(f"FADD32I R1, RZ, {imm}\nFADD32I R1, R1, {imm}\nEXIT")
+        with pytest.raises(ModelViolation, match="float32 range"):
+            ws.run(program)
+
+    def test_fadd_ignores_an_overflow_in_an_inactive_lane(self):
+        # Lanes 0..15 hold 3e38 in R1 when lanes 16..31 alone add 3e38 to it.
+        result = checked_run(ws.parse_program(INACTIVE_LARGE_FADD),
+                             ws.LaunchConfig(registers={"R5": list(range(32))}))
+        large = ws.f32(3e38)
+        assert result.register("R2") == (0,) * 16 + (large,) * 16
+        assert result.register("R1") == (large,) * 16 + (0,) * 16
+
+    @pytest.mark.parametrize("value", [1e39, -1e39])
+    def test_launch_float_outside_float32_is_a_program_error(self, value):
+        launch = ws.LaunchConfig(registers={"R1": [0.0] * 31 + [value]})
+        with pytest.raises(ProgramError, match="launch register R1 .*float32 range"):
+            ws.run(ws.parse_program("NOP\nEXIT"), launch)
 
     def test_every_opcode_executes(self):
         program = ws.parse_program(EVERY_OPCODE)

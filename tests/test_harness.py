@@ -184,6 +184,28 @@ class TestSerialization:
         assert row.predicted_cycles == 4 * 26
 
 
+SPILLING_LOOP = """
+        ISETP.LT P0, R5, 1
+        SSY join
+        @P0 BRA unwind
+body:   IADD R4, R4, 1
+        ISETP.LT P0, R4, R5
+        @P0 BRA body
+unwind: NOP.S
+join:   EXIT
+"""
+
+
+def traced_spilling_loop():
+    """Eight lanes leave one by one: depth 9 on a 4-entry stack spilled 2 at a time."""
+    bounds = [32 if t < 24 else 55 - t for t in range(32)]
+    return checked_run(ws.parse_program(SPILLING_LOOP),
+                       ws.LaunchConfig(registers={"R5": bounds},
+                                       profile=dataclasses.replace(
+                                           ws.KEPLER, phys_capacity=4, spill_chunk=2)),
+                       record_trace=True)
+
+
 class TestTraces:
     def trace_run(self, kernel, n):
         return checked_run(
@@ -250,3 +272,35 @@ class TestTraces:
         assert max(series) == 25
         assert series.count(25) > 1  # every outer iteration climbs back up
         assert series[-1] == 0
+
+    @pytest.mark.parametrize("case", ["spilling-loop", "double-16"])
+    def test_emission_equals_json_dumps_and_csv_writer(self, case):
+        if case == "spilling-loop":
+            result = traced_spilling_loop()
+            events = {record.events for record in result.trace}
+            assert {("SPILL_STORE", "DIV_PUSH"), ("SPILL_LOAD", "DIV_POP")} <= events
+        else:
+            result = self.trace_run("double", 16)
+        jsonl, csv_text, expected_csv = io.StringIO(), io.StringIO(), io.StringIO()
+        ws.emit_trace(result, jsonl)
+        ws.emit_trace(result, csv_text, fmt="csv")
+        writer = csv.writer(expected_csv, lineterminator="\n")
+        writer.writerow(("ordinal", "pc", "opcode", "active_mask", "depth", "event", "cycle"))
+        expected_jsonl = []
+        for record in result.trace:
+            mask = f"0x{record.active_mask:08x}"
+            expected_jsonl.append(json.dumps({
+                "ordinal": record.ordinal, "pc": record.pc, "opcode": record.opcode,
+                "active_mask": mask, "depth": record.depth, "event": list(record.events),
+                "cycle": record.cycle}) + "\n")
+            writer.writerow((record.ordinal, record.pc, record.opcode, mask, record.depth,
+                             "+".join(record.events), record.cycle))
+        assert jsonl.getvalue().splitlines(keepends=True) == expected_jsonl
+        assert csv_text.getvalue().splitlines(keepends=True) == \
+            expected_csv.getvalue().splitlines(keepends=True)
+
+    def test_record_fields_keep_their_names_and_order(self):
+        assert ws.TraceRecord._fields == ("ordinal", "pc", "opcode", "active_mask", "depth",
+                                          "events", "cycle")
+        assert ws.EventRecord._fields == ("ordinal", "kind", "token_mask", "token_pc", "depth",
+                                          "active_before", "active_after")
