@@ -4,14 +4,14 @@ from .core import (DEFAULT_BUDGET, FULL_MASK, WARP_SIZE, EventRecord, LaunchConf
                    RunResult, TraceRecord, WarpState, exec_predicated_branch, run, step,
                    verify_result)
 from .cost import (BUILTIN_PROFILES, KEPLER, MAXWELL, ArchProfile, CostEvents, charge,
-                   get_profile, load_profile, parse_profile, predict_total)
+                   get_profile, load_profile, parse_profile)
 from .errors import AsmError, ModelViolation, ProgramError, RunawayLoopError
 from .harness import (CSV_HEADER, CompareCheck, CompareReport, OracleSet, SweepRow,
                       compare, emit_trace, expected_max_depth, expected_push_count,
                       expected_spill_count, fit_curve, format_compare_report, make_row,
                       run_kernel, sweep, write_sweep)
-from .isa import (Instruction, Opcode, Program, ProgramBuilder, f32, format_instruction,
-                  format_program, parse_program, validate_program)
+from .isa import (Instruction, Opcode, Program, f32, format_instruction, format_program,
+                  parse_program, validate_program)
 from .kernels import (BODY_STEP, BOUND_REGISTERS, FINAL_TIMESTAMP_SLOT, OUTER_STEP,
                       BoundPattern, KernelId, bound_pattern, double_loop_program,
                       instrumented_single_loop_program, kernel_launch, kernel_program,
@@ -25,14 +25,14 @@ __all__ = [
     "BoundPattern", "CSV_HEADER", "CompareCheck", "CompareReport", "CostEvents",
     "DEFAULT_BUDGET", "EventRecord", "FINAL_TIMESTAMP_SLOT", "FULL_MASK", "Instruction",
     "KEPLER", "KernelId", "LaunchConfig", "MAXWELL", "ModelViolation", "Opcode",
-    "OracleSet", "OUTER_STEP", "Program", "ProgramBuilder", "ProgramError", "RunResult",
+    "OracleSet", "OUTER_STEP", "Program", "ProgramError", "RunResult",
     "RunawayLoopError", "StackEvent", "SweepRow", "SyncStack", "Token", "TokenKind",
     "TraceRecord", "WARP_SIZE", "WarpState", "bound_pattern", "charge", "compare",
     "double_loop_program", "emit_trace", "exec_predicated_branch", "expected_max_depth",
     "expected_push_count", "expected_spill_count", "f32", "fit_curve",
     "format_compare_report", "format_instruction", "format_program", "get_profile",
     "instrumented_single_loop_program", "kernel_launch", "kernel_program", "load_profile",
-    "make_row", "parse_profile", "parse_program", "predict_total", "run", "run_kernel",
+    "make_row", "parse_profile", "parse_program", "run", "run_kernel",
     "single_loop_program", "step", "sweep", "validate_program", "verify_result",
     "write_sweep",
 ]

@@ -16,7 +16,7 @@ from .cost import ArchProfile, charge, get_profile, load_profile
 from .errors import ModelViolation, ProgramError
 from .harness import (OracleSet, compare, emit_trace, format_compare_report, make_row,
                       run_kernel, sweep, write_sweep)
-from .isa import format_program, parse_program
+from .isa import format_program, parse_program, read_text
 from .kernels import KernelId, kernel_program
 
 EXIT_OK = 0
@@ -25,6 +25,16 @@ EXIT_MODEL = 2
 EXIT_COMPARE = 3
 
 _KERNEL_CHOICES = [k.value for k in KernelId]
+
+
+def _budget(text: str) -> int:
+    try:
+        budget = int(text)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise argparse.ArgumentTypeError(f"expects an integer >= 1, got {text!r}")
+    return budget
 
 
 def _add_common(parser, *, kernel_only=False, needs_n=False, needs_range=False):
@@ -45,7 +55,7 @@ def _add_common(parser, *, kernel_only=False, needs_n=False, needs_range=False):
     if needs_range:
         parser.add_argument("--n-range", metavar="A..B", default=None,
                             help="inclusive sweep range inside 0..31 (default 0..31)")
-    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    parser.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
                         help="instruction budget before a runaway-loop error")
     parser.add_argument("--out", metavar="FILE", default=None, help="write output here instead of stdout")
 
@@ -142,8 +152,7 @@ def _run_from_args(args, profile, record_trace=False):
         result = run_kernel(args.kernel, args.n, profile, budget=args.budget,
                             record_trace=record_trace)
         return args.kernel, args.n, result
-    with open(args.program, "r", encoding="utf-8") as handle:
-        program = parse_program(handle.read())
+    program = parse_program(read_text(args.program))
     registers = dict(_parse_reg_option(option) for option in args.reg)
     launch = LaunchConfig(registers=registers, profile=profile)
     result = run(program, launch, budget=args.budget, record_trace=record_trace)

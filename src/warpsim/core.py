@@ -436,7 +436,7 @@ def run(program: Program, launch: Union[LaunchConfig, None] = None, *,
                                      names, state.cycle))
 
     return RunResult(
-        events=CostEvents.from_counts(counts),
+        events=CostEvents(*counts),
         executed_instructions=executed,
         executed_branches=branches,
         cycles=state.cycle,

@@ -22,7 +22,7 @@ from operator import mul
 from typing import Mapping, Union
 
 from .errors import ProgramError
-from .isa import strip_comment
+from .isa import read_text, strip_comment
 from .stack import SyncStack
 
 
@@ -101,7 +101,11 @@ def get_profile(name: str) -> ArchProfile:
 
 @dataclass(frozen=True)
 class CostEvents:
-    """Counts of the chargeable stack events over (part of) a run."""
+    """Counts of the chargeable stack events over (part of) a run.
+
+    Fields are in :class:`StackEvent` order, so ``CostEvents(*counts)``
+    builds one from a list indexed by event.
+    """
 
     sync_pushes: int = 0
     div_pushes: int = 0
@@ -109,11 +113,6 @@ class CostEvents:
     div_pops: int = 0
     spill_stores: int = 0
     spill_loads: int = 0
-
-    @classmethod
-    def from_counts(cls, counts) -> "CostEvents":
-        """Build from a sequence indexed by :class:`StackEvent` values, the field order."""
-        return cls(*counts)
 
     @property
     def pushes(self) -> int:
@@ -127,21 +126,6 @@ class CostEvents:
 def charge(events: CostEvents, profile: ArchProfile) -> int:
     """Divergence overhead: each count (vars() order is StackEvent order) times its price."""
     return sum(map(mul, vars(events).values(), profile.event_cycles))
-
-
-def predict_total(kernel_id, profile: ArchProfile, result) -> int:
-    """Calibrated base constant plus divergence overhead.
-
-    ``kernel_id`` may be a :class:`~warpsim.kernels.KernelId` or its
-    string value.  Raises if the profile has no base constant for it;
-    arbitrary programs get overhead-only predictions via :func:`charge`.
-    """
-    key = getattr(kernel_id, "value", kernel_id)
-    if key not in profile.base_cycles:
-        raise ProgramError(
-            f"profile {profile.name!r} has no base cycle constant for kernel {key!r}"
-        )
-    return profile.base_cycles[key] + charge(result.events, profile)
 
 
 _PROFILE_INT_KEYS = {
@@ -208,7 +192,5 @@ def _profile_int(key: str, value: str, line_no: int) -> int:
 
 def load_profile(path) -> ArchProfile:
     """Load a profile from a key=value text file; name defaults to the stem."""
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
     stem = os.path.splitext(os.path.basename(str(path)))[0]
-    return parse_profile(text, default_name=stem or "custom")
+    return parse_profile(read_text(path), default_name=stem or "custom")

@@ -282,48 +282,6 @@ def _check_instruction(i: int, ins: Instruction, length: int, regs: int, preds: 
                 raise _err(i, ins, f"immediate {value!r} is not float32-exact")
 
 
-class ProgramBuilder:
-    """Incremental program construction with symbolic branch targets.
-
-    Targets given as strings are resolved to instruction indices when
-    ``build()`` runs, so programs stay correct under edits.
-    """
-
-    def __init__(self, register_file_size: int = DEFAULT_REGISTER_FILE,
-                 predicate_file_size: int = DEFAULT_PREDICATE_FILE):
-        self.register_file_size = register_file_size
-        self.predicate_file_size = predicate_file_size
-        self._entries: list[tuple[Opcode, dict]] = []
-        self._labels: dict[str, int] = {}
-
-    def label(self, name: str) -> "ProgramBuilder":
-        if name in self._labels:
-            raise ProgramError(f"duplicate label {name!r}")
-        self._labels[name] = len(self._entries)
-        return self
-
-    def emit(self, opcode: Opcode, **fields) -> "ProgramBuilder":
-        self._entries.append((opcode, fields))
-        return self
-
-    def build(self) -> Program:
-        instructions = []
-        for opcode, fields in self._entries:
-            target = fields.get("target")
-            if isinstance(target, str):
-                if target not in self._labels:
-                    raise ProgramError(f"unresolved label {target!r}")
-                fields = dict(fields, target=self._labels[target])
-            instructions.append(Instruction(opcode, **fields))
-        program = Program(
-            instructions=tuple(instructions),
-            register_file_size=self.register_file_size,
-            predicate_file_size=self.predicate_file_size,
-            labels=dict(self._labels),
-        )
-        return validate_program(program)
-
-
 _LABEL_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*:\s*(.*)$")
 _INT_RE = re.compile(r"^[+-]?(0[xXoObB][0-9a-fA-F]+|\d+)$")
 
@@ -340,6 +298,15 @@ def strip_comment(line: str) -> str:
     for marker in "#;":
         line = line.partition(marker)[0]
     return line.strip()
+
+
+def read_text(path) -> str:
+    """A UTF-8 source file's text; bytes that do not decode are a ProgramError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ProgramError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
 def parse_program(text: str,

@@ -15,8 +15,8 @@ Three kernels exercise the divergence machinery:
 
 Register conventions (all kernels): R0 accumulator, R4/R6/R7 loop
 counters, bounds arrive in the registers listed in ``BOUND_REGISTERS``.
-Programs are built programmatically so label targets stay correct under
-edits; render them with :func:`warpsim.isa.format_program`.
+Each kernel is an assembly listing parsed once; ``warpsim dump`` prints
+it back (:func:`warpsim.isa.format_program`).
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from functools import lru_cache
 from typing import Sequence, Union
 
 from .core import FULL_MASK, LaunchConfig, WARP_SIZE
-from .cost import ArchProfile
+from .cost import KEPLER, ArchProfile
 from .errors import ProgramError
-from .isa import Opcode, Program, ProgramBuilder
+from .isa import Program, parse_program
 
 # float32-exact accumulator steps (printed in full decimal digits).
 BODY_STEP = 1.3332999944686889648
@@ -72,122 +72,108 @@ def bound_pattern(n: int) -> BoundPattern:
     return BoundPattern(n=n, bounds=bounds)
 
 
-@lru_cache(maxsize=None)
-def single_loop_program() -> Program:
-    """Counted loop with per-lane bound in R5; counter R4, accumulator R0."""
-    b = ProgramBuilder()
-    b.emit(Opcode.MOV, dst=4, imm=0)                       # i = 0
-    b.emit(Opcode.MOV, dst=0, imm=0)                       # accumulator
-    b.emit(Opcode.ISETP_LT, pdst=0, src_a=5, imm=1)        # guard: bound < 1
-    b.emit(Opcode.CLOCK, dst=6)                            # opening clock read
-    b.emit(Opcode.SSY, target="join")
-    b.emit(Opcode.BRA, target="unwind", pred=0)
-    b.emit(Opcode.NOP)
-    b.emit(Opcode.NOP)
-    b.label("body")
-    b.emit(Opcode.IADD, dst=4, src_a=4, imm=1)
-    b.emit(Opcode.FADD_IMM, dst=0, src_a=0, imm=BODY_STEP)
-    b.emit(Opcode.ISETP_LT, pdst=0, src_a=4, src_b=5)      # i < bound
-    b.emit(Opcode.BRA, target="body", pred=0)
-    b.label("unwind")
-    b.emit(Opcode.NOP, pop_bit=True)
-    b.label("join")
-    b.emit(Opcode.CLOCK, dst=7)                            # closing clock read
-    b.emit(Opcode.EXIT)
-    return b.build()
-
-
-@lru_cache(maxsize=None)
-def double_loop_program() -> Program:
-    """Nested counted loops; outer bound R8, inner bound R9.
-
-    Outer counter R6, inner counter R7, accumulator R0.  The inner
-    guard predicate is recomputed before the inner SSY on every outer
-    iteration, and the inner SSY points past the inner unwind at the
-    outer increment, matching how such loops compile.
-    """
-    b = ProgramBuilder()
-    b.emit(Opcode.MOV, dst=0, imm=0)                       # accumulator
-    b.emit(Opcode.ISETP_LT, pdst=0, src_a=8, imm=1)        # outer guard: bound < 1
-    b.emit(Opcode.CLOCK, dst=10)                           # opening clock read
-    b.emit(Opcode.SSY, target="join")
-    b.emit(Opcode.BRA, target="outer_unwind", pred=0)
-    b.emit(Opcode.MOV, dst=6, imm=0)                       # j = 0
-    b.label("outer_body")
-    b.emit(Opcode.ISETP_LT, pdst=0, src_a=9, imm=1)        # inner guard: bound < 1
-    b.emit(Opcode.MOV, dst=7, imm=0)                       # i = 0
-    b.emit(Opcode.SSY, target="outer_step")
-    b.emit(Opcode.BRA, target="inner_unwind", pred=0)
-    b.label("inner_body")
-    b.emit(Opcode.IADD, dst=7, src_a=7, imm=1)
-    b.emit(Opcode.FADD_IMM, dst=0, src_a=0, imm=BODY_STEP)
-    b.emit(Opcode.ISETP_LT, pdst=0, src_a=7, src_b=9)      # i < inner bound
-    b.emit(Opcode.BRA, target="inner_body", pred=0)
-    b.label("inner_unwind")
-    b.emit(Opcode.NOP, pop_bit=True)
-    b.label("outer_step")
-    b.emit(Opcode.IADD, dst=6, src_a=6, imm=1)
-    b.emit(Opcode.FADD_IMM, dst=0, src_a=0, imm=OUTER_STEP)
-    b.emit(Opcode.ISETP_LT, pdst=0, src_a=6, src_b=8)      # j < outer bound
-    b.emit(Opcode.BRA, target="outer_body", pred=0)
-    b.label("outer_unwind")
-    b.emit(Opcode.NOP, pop_bit=True)
-    b.label("join")
-    b.emit(Opcode.CLOCK, dst=11)                           # closing clock read
-    b.emit(Opcode.EXIT)
-    return b.build()
-
-
-@lru_cache(maxsize=None)
-def instrumented_single_loop_program() -> Program:
-    """Single loop with per-iteration timestamps and a post-unwind one.
-
-    Each iteration stores the cycle counter to slot ``i`` (1..32); after
-    the re-convergence point one more timestamp goes to slot 33.  Lane
-    timelines land in ``RunResult.slots``.
-    """
-    b = ProgramBuilder()
-    b.emit(Opcode.MOV, dst=4, imm=0)                       # i = 0
-    b.emit(Opcode.MOV, dst=0, imm=0)                       # accumulator
-    b.emit(Opcode.ISETP_LT, pdst=0, src_a=5, imm=1)        # guard: bound < 1
-    b.emit(Opcode.CLOCK, dst=7)                            # opening clock read
-    b.emit(Opcode.SSY, target="join")
-    b.emit(Opcode.BRA, target="unwind", pred=0)
-    b.label("body")
-    b.emit(Opcode.IADD, dst=4, src_a=4, imm=1)
-    b.emit(Opcode.FADD_IMM, dst=0, src_a=0, imm=BODY_STEP)
-    b.emit(Opcode.CLOCK, dst=6)
-    b.emit(Opcode.STORE_SLOT, slot_reg=4, src_a=6)         # timestamp slot i
-    b.emit(Opcode.ISETP_LT, pdst=0, src_a=4, src_b=5)      # i < bound
-    b.emit(Opcode.BRA, target="body", pred=0)
-    b.label("unwind")
-    b.emit(Opcode.NOP, pop_bit=True)
-    b.label("join")
-    b.emit(Opcode.CLOCK, dst=6)
-    b.emit(Opcode.STORE_SLOT, slot=FINAL_TIMESTAMP_SLOT, src_a=6)
-    b.emit(Opcode.EXIT)
-    return b.build()
-
-
-_BUILDERS = {
-    KernelId.SINGLE_LOOP: single_loop_program,
-    KernelId.DOUBLE_LOOP: double_loop_program,
-    KernelId.SINGLE_LOOP_INSTRUMENTED: instrumented_single_loop_program,
+# One listing per kernel, in the layout `warpsim dump` prints.
+_LISTINGS = {
+    KernelId.SINGLE_LOOP: f"""
+; Counted loop with per-lane bound in R5; counter R4, accumulator R0.
+        MOV R4, 0                   ; i = 0
+        MOV R0, 0                   ; accumulator
+        ISETP.LT P0, R5, 1          ; guard: bound < 1
+        CLOCK R6                    ; opening clock read
+        SSY join
+        @P0 BRA unwind
+        NOP
+        NOP
+body:   IADD R4, R4, 1
+        FADD32I R0, R0, {BODY_STEP!r}
+        ISETP.LT P0, R4, R5         ; i < bound
+        @P0 BRA body
+unwind: NOP.S
+join:   CLOCK R7                    ; closing clock read
+        EXIT
+""",
+    KernelId.DOUBLE_LOOP: f"""
+; Nested counted loops; outer bound R8, inner bound R9.  Outer counter
+; R6, inner counter R7, accumulator R0.  The inner guard predicate is
+; recomputed before the inner SSY on every outer iteration, and the inner
+; SSY points past the inner unwind at the outer increment, matching how
+; such loops compile.
+              MOV R0, 0                     ; accumulator
+              ISETP.LT P0, R8, 1            ; outer guard: bound < 1
+              CLOCK R10                     ; opening clock read
+              SSY join
+              @P0 BRA outer_unwind
+              MOV R6, 0                     ; j = 0
+outer_body:   ISETP.LT P0, R9, 1            ; inner guard: bound < 1
+              MOV R7, 0                     ; i = 0
+              SSY outer_step
+              @P0 BRA inner_unwind
+inner_body:   IADD R7, R7, 1
+              FADD32I R0, R0, {BODY_STEP!r}
+              ISETP.LT P0, R7, R9           ; i < inner bound
+              @P0 BRA inner_body
+inner_unwind: NOP.S
+outer_step:   IADD R6, R6, 1
+              FADD32I R0, R0, {OUTER_STEP!r}
+              ISETP.LT P0, R6, R8           ; j < outer bound
+              @P0 BRA outer_body
+outer_unwind: NOP.S
+join:         CLOCK R11                     ; closing clock read
+              EXIT
+""",
+    KernelId.SINGLE_LOOP_INSTRUMENTED: f"""
+; Single loop with per-iteration timestamps and a post-unwind one.  Each
+; iteration stores the cycle counter to slot i (1..32); after the
+; re-convergence point one more timestamp goes to the final slot.  Lane
+; timelines land in RunResult.slots.
+        MOV R4, 0                   ; i = 0
+        MOV R0, 0                   ; accumulator
+        ISETP.LT P0, R5, 1          ; guard: bound < 1
+        CLOCK R7                    ; opening clock read
+        SSY join
+        @P0 BRA unwind
+body:   IADD R4, R4, 1
+        FADD32I R0, R0, {BODY_STEP!r}
+        CLOCK R6
+        STSLOT [R4], R6             ; timestamp slot i
+        ISETP.LT P0, R4, R5         ; i < bound
+        @P0 BRA body
+unwind: NOP.S
+join:   CLOCK R6
+        STSLOT [{FINAL_TIMESTAMP_SLOT}], R6
+        EXIT
+""",
 }
 
 
+@lru_cache(maxsize=None)
+def _parsed(kernel: KernelId) -> Program:
+    return parse_program(_LISTINGS[kernel])
+
+
 def kernel_program(kernel: Union[KernelId, str]) -> Program:
-    return _BUILDERS[KernelId(kernel)]()
+    """The kernel's parsed listing; one shared object per kernel, by name or id."""
+    return _parsed(KernelId(kernel))
+
+
+def single_loop_program() -> Program:
+    return kernel_program(KernelId.SINGLE_LOOP)
+
+
+def double_loop_program() -> Program:
+    return kernel_program(KernelId.DOUBLE_LOOP)
+
+
+def instrumented_single_loop_program() -> Program:
+    return kernel_program(KernelId.SINGLE_LOOP_INSTRUMENTED)
 
 
 def kernel_launch(kernel: Union[KernelId, str], bounds: Sequence[int],
-                  profile: Union[ArchProfile, None] = None,
+                  profile: ArchProfile = KEPLER,
                   active_mask: int = FULL_MASK) -> LaunchConfig:
     """Launch configuration feeding per-lane bounds to a built-in kernel."""
     kernel = KernelId(kernel)
     if len(bounds) != WARP_SIZE:
         raise ProgramError(f"need {WARP_SIZE} bounds, got {len(bounds)}")
     registers = {name: tuple(bounds) for name in BOUND_REGISTERS[kernel]}
-    if profile is None:
-        return LaunchConfig(registers=registers, active_mask=active_mask)
     return LaunchConfig(registers=registers, active_mask=active_mask, profile=profile)

@@ -147,25 +147,13 @@ def replay_overlay(seq, capacity=16, chunk=4):
 
 def template_program(filler_nops, extra_adds):
     """Single-loop shape with a padded body, for randomized structure."""
-    b = ws.ProgramBuilder()
-    b.emit(ws.Opcode.MOV, dst=4, imm=0)
-    b.emit(ws.Opcode.ISETP_LT, pdst=0, src_a=5, imm=1)
-    b.emit(ws.Opcode.SSY, target="join")
-    b.emit(ws.Opcode.BRA, target="unwind", pred=0)
-    for _ in range(filler_nops):
-        b.emit(ws.Opcode.NOP)
-    b.label("body")
-    b.emit(ws.Opcode.IADD, dst=4, src_a=4, imm=1)
-    for k in range(extra_adds):
-        b.emit(ws.Opcode.IADD, dst=6 + (k % 2), src_a=6 + (k % 2), imm=k)
-    b.emit(ws.Opcode.FADD_IMM, dst=0, src_a=0, imm=ws.BODY_STEP)
-    b.emit(ws.Opcode.ISETP_LT, pdst=0, src_a=4, src_b=5)
-    b.emit(ws.Opcode.BRA, target="body", pred=0)
-    b.label("unwind")
-    b.emit(ws.Opcode.NOP, pop_bit=True)
-    b.label("join")
-    b.emit(ws.Opcode.EXIT)
-    return b.build()
+    lines = ["MOV R4, 0", "ISETP.LT P0, R5, 1", "SSY join", "@P0 BRA unwind"]
+    lines += ["NOP"] * filler_nops
+    lines.append("body: IADD R4, R4, 1")
+    lines += [f"IADD R{6 + k % 2}, R{6 + k % 2}, {k}" for k in range(extra_adds)]
+    lines += [f"FADD32I R0, R0, {ws.BODY_STEP!r}", "ISETP.LT P0, R4, R5", "@P0 BRA body",
+              "unwind: NOP.S", "join: EXIT"]
+    return ws.parse_program("\n".join(lines))
 
 
 @pytest.fixture(scope="session")

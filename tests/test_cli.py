@@ -178,6 +178,44 @@ def test_reg_float_outside_float32_exits_one(capsys, tmp_path):
     assert "R1" in err and "float32" in err
 
 
+@pytest.mark.parametrize("argv,content", [
+    (("run", "--program", "BAD"), b"EXIT \xff\n"),
+    (("run", "--program", "OK", "--profile-file", "BAD"), b"div_cost = 1 \xff\n"),
+], ids=["program", "profile-file"])
+def test_non_utf8_file_exits_one_naming_it(capsys, tmp_path, argv, content):
+    paths = {"OK": tmp_path / "ok.sasm", "BAD": tmp_path / "bad.txt"}
+    paths["OK"].write_text("EXIT\n", encoding="utf-8")
+    paths["BAD"].write_bytes(content)
+    code, out, err = invoke(capsys, *[str(paths.get(arg, arg)) for arg in argv])
+    assert code == 1 and out == ""
+    assert "Traceback" not in err and str(paths["BAD"]) in err and "UTF-8" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "--program", "PROGRAM", "--budget", "0"),
+    ("run", "--program", "PROGRAM", "--budget", "-1"),
+    ("run", "--kernel", "single", "--n", "2", "--budget", "0"),
+    ("sweep", "--kernel", "single", "--budget", "0"),
+    ("compare", "--kernel", "double", "--budget", "-5"),
+    ("trace", "--kernel", "single", "--n", "0", "--budget", "0"),
+    ("run", "--program", "PROGRAM", "--budget", "many"),
+])
+def test_budget_below_one_is_a_usage_error(capsys, tmp_path, argv):
+    source = tmp_path / "ok.sasm"
+    source.write_text("EXIT\n", encoding="utf-8")
+    argv = [str(source) if arg == "PROGRAM" else arg for arg in argv]
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "--budget" in err and "no EXIT" not in err
+
+
+def test_budget_of_one_runs_a_one_instruction_program(capsys, tmp_path):
+    source = tmp_path / "ok.sasm"
+    source.write_text("EXIT\n", encoding="utf-8")
+    code, out, _ = invoke(capsys, "run", "--program", str(source), "--budget", "1")
+    assert code == 0 and "executed_instructions: 1" in out
+
+
 def test_asm_error_exits_one_with_line(capsys, tmp_path):
     source = tmp_path / "bad.sasm"
     source.write_text("NOP\nFROB R1\nEXIT\n", encoding="utf-8")

@@ -165,6 +165,12 @@ class TestRun:
         with pytest.raises(RunawayLoopError):
             ws.run(ws.parse_program("loop: BRA loop\nEXIT"), budget=1000)
 
+    def test_zero_budget_runs_nothing(self):
+        # The CLI rejects --budget below 1; the library treats 0 as an
+        # empty budget, which benchmarks/layers.py uses to time a prefix.
+        with pytest.raises(RunawayLoopError, match="no EXIT after 0"):
+            ws.run(ws.parse_program("EXIT"), budget=0)
+
     def test_exit_with_tokens_left_is_an_error(self):
         with pytest.raises(ModelViolation, match="EXIT with 1 tokens"):
             ws.run(ws.parse_program("SSY 1\nEXIT"))

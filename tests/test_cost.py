@@ -5,7 +5,7 @@ from dataclasses import fields
 import pytest
 
 import warpsim as ws
-from warpsim.cost import CostEvents, charge, parse_profile, predict_total
+from warpsim.cost import CostEvents, charge, parse_profile
 from warpsim.errors import ProgramError
 
 from conftest import checked_run
@@ -35,26 +35,17 @@ def test_charge_examples():
     assert charge(CostEvents(sync_pushes=9, div_pushes=9, sync_pops=9), kep) == 0
 
 
-def test_predict_total_examples():
+def test_predicted_cycles_examples():
     kep = ws.KEPLER
     r10 = checked_run(ws.single_loop_program(),
                       ws.kernel_launch("single", ws.bound_pattern(10).bounds, kep))
-    assert predict_total("single", kep, r10) == 1732 + 320 == 2052
+    assert ws.make_row("single", kep, 10, r10).predicted_cycles == 1732 + 320 == 2052
     r0 = checked_run(ws.single_loop_program(),
                      ws.kernel_launch("single", ws.bound_pattern(0).bounds, kep))
-    assert predict_total(ws.KernelId.SINGLE_LOOP, kep, r0) == 1732
+    assert ws.make_row(ws.KernelId.SINGLE_LOOP, kep, 0, r0).predicted_cycles == 1732
     d5 = checked_run(ws.double_loop_program(),
                      ws.kernel_launch("double", ws.bound_pattern(5).bounds, kep))
-    assert predict_total("double", kep, d5) == 57024 + 16 * 5 * 60 == 61824
-
-
-def test_predict_total_requires_a_base_constant():
-    r = checked_run(ws.single_loop_program(),
-                    ws.kernel_launch("single", ws.bound_pattern(0).bounds))
-    with pytest.raises(ProgramError, match="no base cycle constant"):
-        predict_total("single", ws.MAXWELL, r)
-    with pytest.raises(ProgramError, match="no base cycle constant"):
-        predict_total("mystery-kernel", ws.KEPLER, r)
+    assert ws.make_row("double", kep, 5, d5).predicted_cycles == 57024 + 16 * 5 * 60 == 61824
 
 
 def test_without_spilling_disables_spills():
@@ -126,7 +117,7 @@ def test_cost_events_from_counts_and_totals():
     counts = [0] * len(ws.StackEvent)
     counts[ws.StackEvent.SYNC_PUSH] = 2
     counts[ws.StackEvent.DIV_POP] = 3
-    events = CostEvents.from_counts(counts)
+    events = CostEvents(*counts)
     assert events.sync_pushes == 2 and events.div_pops == 3
     assert events.pushes == 2 and events.pops == 3
 

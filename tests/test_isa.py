@@ -118,9 +118,11 @@ def test_file_sizes_are_capped():
     prog = ws.parse_program(f".registers {top}\n.predicates {top}\nMOV R{top - 1}, 1\nEXIT")
     assert (prog.register_file_size, prog.predicate_file_size) == (top, top)
     with pytest.raises(ProgramError, match="file sizes"):
-        ws.ProgramBuilder(register_file_size=top + 1).emit(ws.Opcode.EXIT).build()
+        ws.validate_program(isa.Program((isa.Instruction(ws.Opcode.EXIT),),
+                                        register_file_size=top + 1))
     with pytest.raises(ProgramError, match="file sizes"):
-        ws.ProgramBuilder(predicate_file_size=top + 1).emit(ws.Opcode.EXIT).build()
+        ws.validate_program(isa.Program((isa.Instruction(ws.Opcode.EXIT),),
+                                        predicate_file_size=top + 1))
     with pytest.raises(ProgramError, match="file sizes"):
         ws.parse_program("EXIT", register_file_size=top + 1)
 
@@ -216,26 +218,6 @@ def test_program_equality_ignores_label_names():
     b = ws.parse_program("loop: NOP\nBRA loop\nEXIT")
     assert a == b
     assert a != ws.parse_program("top: NOP\nBRA 0\nNOP\nEXIT")
-
-
-def test_builder_symbolic_targets():
-    b = ws.ProgramBuilder()
-    b.emit(ws.Opcode.SSY, target="end")
-    b.label("end")
-    b.emit(ws.Opcode.NOP, pop_bit=True)
-    b.emit(ws.Opcode.EXIT)
-    prog = b.build()
-    assert prog.instructions[0].target == 1
-
-    bad = ws.ProgramBuilder()
-    bad.emit(ws.Opcode.BRA, target="missing")
-    bad.emit(ws.Opcode.EXIT)
-    with pytest.raises(ProgramError, match="unresolved label"):
-        bad.build()
-    dup = ws.ProgramBuilder()
-    dup.label("x")
-    with pytest.raises(ProgramError, match="duplicate label"):
-        dup.label("x")
 
 
 def test_validate_rejects_malformed_instructions():

@@ -255,3 +255,19 @@ def test_kernel_launch_plumbing():
     with pytest.raises(ValueError):
         ws.kernel_program("octuple")
     assert ws.kernel_program(ws.KernelId.SINGLE_LOOP) is ws.single_loop_program()
+
+
+@pytest.mark.parametrize("kernel,named,labels", [
+    ("single", ws.single_loop_program, {"body": 8, "unwind": 12, "join": 13}),
+    ("double", ws.double_loop_program,
+     {"outer_body": 6, "inner_body": 10, "inner_unwind": 14, "outer_step": 15,
+      "outer_unwind": 19, "join": 20}),
+    ("single-instrumented", ws.instrumented_single_loop_program,
+     {"body": 6, "unwind": 12, "join": 13}),
+])
+def test_each_kernel_is_parsed_once(kernel, named, labels):
+    program = ws.kernel_program(kernel)
+    assert ws.kernel_program(ws.KernelId(kernel)) is program
+    assert named() is program
+    assert dict(program.labels) == labels
+    assert ws.parse_program(ws.format_program(program)) == program
