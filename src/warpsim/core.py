@@ -47,15 +47,8 @@ DEFAULT_BUDGET = 10_000_000
 _MASK32 = 0xFFFFFFFF
 _BIAS = 0x80000000
 _ZEROS = (0,) * WARP_SIZE
-_NO_EVENTS: tuple = ()
+_NO_EVENTS: tuple = ((), None)  # (events, token) of an instruction that moves no token
 _PACK32 = struct.Struct(f"<{WARP_SIZE}f")
-_SPILL_EVENTS = frozenset((StackEvent.SPILL_STORE, StackEvent.SPILL_LOAD))
-
-
-def _with_tokens(events, token):
-    """Pair stack events with the token they moved; spills carry none."""
-    return tuple((event, None if event in _SPILL_EVENTS else token)
-                 for event in events)
 
 _lanes_cache: dict[int, tuple[int, ...]] = {}
 
@@ -110,11 +103,17 @@ class WarpState:
                     f"launch register {name} needs {WARP_SIZE} values, got {len(values)}"
                 )
             try:
-                self.regs[index] = [isa.f32(v) if isinstance(v, float) else _wrap32(int(v))
-                                    for v in values]
+                row = [isa.f32(v) if isinstance(v, float) else int(v) for v in values]
             except OverflowError:
                 raise ProgramError(
                     f"launch register {name} holds a value outside the float32 range") from None
+            for value in row:  # the immediate rules: int32 ints, no NaN (+-inf is legal)
+                if value != value:
+                    raise ProgramError(f"launch register {name} holds NaN")
+                if type(value) is int and not isa.INT32_MIN <= value <= isa.INT32_MAX:
+                    raise ProgramError(f"launch register {name} holds {value}, "
+                                       "outside the 32-bit signed range")
+            self.regs[index] = row
         self.preds = [0] * program.predicate_file_size + [_MASK32]  # PT (index -1)
         self.stack = launch.profile.new_stack()
         self.cycle = 0
@@ -203,15 +202,17 @@ _SSY, _BRA, _NOP, _IADD, _FADD, _ISETP, _MOV, _CLOCK, _STSLOT, _EXIT = (
     Opcode.SSY, Opcode.BRA, Opcode.NOP, Opcode.IADD, Opcode.FADD_IMM, Opcode.ISETP_LT,
     Opcode.MOV, Opcode.CLOCK, Opcode.STORE_SLOT, Opcode.EXIT)
 _SYNC, _DIV = TokenKind.SYNC, TokenKind.DIV
-_DIV_PUSH, _SYNC_POP, _DIV_POP = StackEvent.DIV_PUSH, StackEvent.SYNC_POP, StackEvent.DIV_POP
+_DIV_PUSH, _SYNC_POP, _DIV_POP, _SPILL_STORE = (
+    StackEvent.DIV_PUSH, StackEvent.SYNC_POP, StackEvent.DIV_POP, StackEvent.SPILL_STORE)
 _EVENT_NAMES = tuple(event.name for event in StackEvent)  # trace labels, by StackEvent
 
 
 def exec_predicated_branch(state: WarpState, target: int, predicate: int):
     """Branch the active lanes whose predicate bit is set.
 
-    Returns the stack events as ((event, token), ...); only the partial
-    case pushes a DIV token parking the not-taken lanes at pc+1.
+    Returns ``(events, token)``: the stack's event tuple and the pushed
+    token, or ``((), None)``.  Only the partial case pushes a DIV token
+    parking the not-taken lanes at pc+1.
     """
     active = state.active_mask
     taken = predicate & active
@@ -225,11 +226,11 @@ def exec_predicated_branch(state: WarpState, target: int, predicate: int):
     events = state.stack.push(token)
     state.active_mask = taken
     state.pc = target
-    return _with_tokens(events, token)
+    return events, token
 
 
 def step(state: WarpState, program: Program):
-    """Execute one instruction; returns ((StackEvent, Token|None), ...).
+    """Execute one instruction; returns (stack events, the token moved) or ((), None).
 
     Dispatch order mirrors the hardware model: SSY, then predicated
     branches, then the pop-bit, then plain lane-wise execution.
@@ -246,27 +247,27 @@ def _exec_one(state: WarpState, ins: Instruction):
     op = ins.opcode
     if op is _SSY:
         token = Token(state.active_mask, _SYNC, ins.target)
-        events = _with_tokens(state.stack.push(token), token)
+        events = state.stack.push(token)
         state.pc += 1
     elif op is _BRA:  # a bare BRA reads PT
         pred = PRED_PT if ins.pred is None else ins.pred
-        events = exec_predicated_branch(state, ins.target, state.preds[pred])
+        events, token = exec_predicated_branch(state, ins.target, state.preds[pred])
     elif ins.pop_bit:
-        token, raw_events = state.stack.pop()
+        token, events = state.stack.pop()
         state.active_mask = token.mask
         state.pc = token.pc
         _exec_plain(state, ins)
-        events = _with_tokens(raw_events, token)
     else:
         _exec_plain(state, ins)
         if op is not _EXIT:
             state.pc += 1
-        events = _NO_EVENTS
+        state.cycle += state._issue_cost
+        return _NO_EVENTS
     cycles = state._issue_cost
-    for event, _ in events:
+    for event in events:
         cycles += state._event_cycles[event]
     state.cycle += cycles
-    return events
+    return events, token
 
 
 def _exec_plain(state: WarpState, ins: Instruction) -> None:
@@ -411,27 +412,27 @@ def run(program: Program, launch: Union[LaunchConfig, None] = None, *,
             raise ModelViolation(f"program counter {pc} out of range")
         ins = instructions[pc]
         active_before = state.active_mask
-        events = _exec_one(state, ins)
+        events, token = _exec_one(state, ins)
         executed += 1
         if ins.opcode is _BRA:
             branches += 1
 
-        if events:
+        if events:  # exactly one push or pop: the depth moves by one
             depth = stack.depth
             active_after = state.active_mask
-            for event, token in events:
+            for event in events:
                 counts[event] += 1
-                mask = token.mask if token is not None else None
-                pc_of = token.pc if token is not None else None
-                event_log.append(EventRecord(executed, event, mask, pc_of,
-                                             depth, active_before, active_after))
-            last = depth_history[-1][1]
-            if depth != last:
-                depth_history.append((executed, depth))
-                if depth > max_depth:
-                    max_depth = depth
+                if event >= _SPILL_STORE:  # spills, last in StackEvent, carry no token
+                    event_log.append(EventRecord(executed, event, None, None,
+                                                 depth, active_before, active_after))
+                else:
+                    event_log.append(EventRecord(executed, event, token.mask, token.pc,
+                                                 depth, active_before, active_after))
+            depth_history.append((executed, depth))
+            if depth > max_depth:
+                max_depth = depth
         if trace is not None:
-            names = tuple([_EVENT_NAMES[event] for event, _ in events]) if events else ()
+            names = tuple([_EVENT_NAMES[event] for event in events]) if events else ()
             trace.append(TraceRecord(executed, pc, labels[pc], state.active_mask, depth,
                                      names, state.cycle))
 

@@ -141,17 +141,9 @@ def parse_profile(text: str, default_name: str = "custom") -> ArchProfile:
     or ``none``/``inf`` for unbounded), ``spill_chunk``,
     ``spill_store_cost``, ``spill_load_cost``, ``issue_cost``, and
     ``base.<kernel>`` entries.  ``#`` and ``;`` start comments.  Costs
-    default to 0, capacity to 16, chunk to 4, issue cost to 1.
+    default to 0, the other keys to :class:`ArchProfile`'s defaults.
     """
-    values = {
-        "name": default_name,
-        "div_cost": 0,
-        "spill_store_cost": 0,
-        "spill_load_cost": 0,
-        "phys_capacity": 16,
-        "spill_chunk": 4,
-        "issue_cost": 1,
-    }
+    values = {"name": default_name, "div_cost": 0, "spill_store_cost": 0, "spill_load_cost": 0}
     base: dict[str, int] = {}
     seen: set[str] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):

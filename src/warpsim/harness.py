@@ -123,18 +123,6 @@ class OracleSet:
         return cls(kernel=KernelId(kernel), arch=profile.name,
                    phys_capacity=profile.phys_capacity, spill_chunk=profile.spill_chunk)
 
-    def push_count(self, n: int) -> int:
-        return expected_push_count(self.kernel, n)
-
-    def max_depth(self, n: int) -> int:
-        return expected_max_depth(self.kernel, n)
-
-    def spill_count(self, n: int) -> Union[int, None]:
-        return expected_spill_count(self.kernel, n, self.phys_capacity, self.spill_chunk)
-
-    def fit_cycles(self, n: int) -> Union[int, None]:
-        return fit_curve(self.kernel, self.arch, n)
-
 
 def run_kernel(kernel: Union[KernelId, str], n: int, profile: ArchProfile, *,
                budget: int = DEFAULT_BUDGET, record_trace: bool = False) -> RunResult:
@@ -216,17 +204,18 @@ def compare(rows: Sequence[SweepRow], oracles: OracleSet) -> CompareReport:
                 f"(kernel={oracles.kernel.value}, arch={oracles.arch})"
             )
 
+    kernel, cap, chunk = oracles.kernel, oracles.phys_capacity, oracles.spill_chunk
     checks = [
         _check_rows("push_counts", rows, lambda r: r.total_pushes,
-                    lambda r: oracles.push_count(r.n)),
+                    lambda r: expected_push_count(kernel, r.n)),
         _check_rows("max_depths", rows, lambda r: r.max_depth,
-                    lambda r: oracles.max_depth(r.n)),
+                    lambda r: expected_max_depth(kernel, r.n)),
         _check_rows("extra_branches_equal_spills", rows, lambda r: r.extra_branches,
                     lambda r: r.spill_stores),
     ]
-    if all(oracles.spill_count(row.n) is not None for row in rows):
+    if all(expected_spill_count(kernel, row.n, cap, chunk) is not None for row in rows):
         checks.append(_check_rows("spill_counts", rows, lambda r: r.spill_stores,
-                                  lambda r: oracles.spill_count(r.n)))
+                                  lambda r: expected_spill_count(kernel, r.n, cap, chunk)))
 
     exact = [row for row in rows if row.spill_stores == 0 and row.oracle_cycles is not None]
     failures = [row for row in exact if row.predicted_cycles != row.oracle_cycles]

@@ -309,14 +309,14 @@ def read_text(path) -> str:
         raise ProgramError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
-def parse_program(text: str,
-                  register_file_size: int = DEFAULT_REGISTER_FILE,
-                  predicate_file_size: int = DEFAULT_PREDICATE_FILE) -> Program:
+def parse_program(text: str) -> Program:
     """Assemble source text into a validated :class:`Program`.
 
     Raises :class:`AsmError` naming the offending line on any syntax,
     register-range, or label-resolution problem.
     """
+    register_file_size = DEFAULT_REGISTER_FILE
+    predicate_file_size = DEFAULT_PREDICATE_FILE
     statements: list[tuple[int, Union[str, None], str, bool, list[str]]] = []
     labels: dict[str, int] = {}
     pending_labels: list[tuple[int, str]] = []

@@ -26,7 +26,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Sequence, Union
 
-from .core import FULL_MASK, LaunchConfig, WARP_SIZE
+from .core import LaunchConfig, WARP_SIZE
 from .cost import KEPLER, ArchProfile
 from .errors import ProgramError
 from .isa import Program, parse_program
@@ -169,11 +169,10 @@ def instrumented_single_loop_program() -> Program:
 
 
 def kernel_launch(kernel: Union[KernelId, str], bounds: Sequence[int],
-                  profile: ArchProfile = KEPLER,
-                  active_mask: int = FULL_MASK) -> LaunchConfig:
+                  profile: ArchProfile = KEPLER) -> LaunchConfig:
     """Launch configuration feeding per-lane bounds to a built-in kernel."""
     kernel = KernelId(kernel)
     if len(bounds) != WARP_SIZE:
         raise ProgramError(f"need {WARP_SIZE} bounds, got {len(bounds)}")
     registers = {name: tuple(bounds) for name in BOUND_REGISTERS[kernel]}
-    return LaunchConfig(registers=registers, active_mask=active_mask, profile=profile)
+    return LaunchConfig(registers=registers, profile=profile)

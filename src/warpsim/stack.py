@@ -63,10 +63,12 @@ _POP_EVENTS_FILL = {k: (StackEvent.SPILL_LOAD,) + v for k, v in _POP_EVENTS.item
 class SyncStack:
     """Token stack with a physical capacity and chunked spill to memory.
 
-    ``phys_capacity=None`` disables spilling (unbounded on-chip segment).
+    One token list, oldest first; its oldest ``spilled_count`` entries
+    live in backing memory.  ``phys_capacity=None`` disables spilling
+    (unbounded on-chip segment).
     """
 
-    __slots__ = ("phys_capacity", "spill_chunk", "_onchip", "_spilled")
+    __slots__ = ("phys_capacity", "spill_chunk", "_tokens", "_spilled")
 
     def __init__(self, phys_capacity: int | None = 16, spill_chunk: int = 4):
         if phys_capacity is not None:
@@ -80,44 +82,41 @@ class SyncStack:
             raise ProgramError(f"spill chunk must be >= 1, got {spill_chunk}")
         self.phys_capacity = phys_capacity
         self.spill_chunk = spill_chunk
-        self._onchip: list[Token] = []
-        self._spilled: list[list[Token]] = []
+        self._tokens: list[Token] = []
+        self._spilled = 0
 
     @property
     def depth(self) -> int:
         """Logical depth: on-chip entries plus spilled entries."""
-        return len(self._onchip) + len(self._spilled) * self.spill_chunk
+        return len(self._tokens)
 
     @property
     def onchip_count(self) -> int:
-        return len(self._onchip)
+        return len(self._tokens) - self._spilled
 
     @property
     def spilled_count(self) -> int:
-        return len(self._spilled) * self.spill_chunk
+        return self._spilled
 
     def push(self, token: Token) -> tuple[StackEvent, ...]:
         """Push a token, spilling the oldest chunk first if on-chip is full."""
         if token.kind is _DIV and token.mask == 0:
             raise ModelViolation("DIV token with empty mask")
-        onchip = self._onchip
-        spilled = False
+        tokens = self._tokens
+        tokens.append(token)
         cap = self.phys_capacity
-        if cap is not None and len(onchip) == cap:
-            self._spilled.append(onchip[: self.spill_chunk])
-            del onchip[: self.spill_chunk]
-            spilled = True
-        onchip.append(token)
-        return _PUSH_EVENTS_SPILL[token.kind] if spilled else _PUSH_EVENTS[token.kind]
+        if cap is not None and len(tokens) - self._spilled > cap:
+            self._spilled += self.spill_chunk
+            return _PUSH_EVENTS_SPILL[token.kind]
+        return _PUSH_EVENTS[token.kind]
 
     def pop(self) -> tuple[Token, tuple[StackEvent, ...]]:
         """Pop the top token, reloading the newest spilled chunk if needed."""
-        onchip = self._onchip
-        filled = False
-        if not onchip:
-            if not self._spilled:
-                raise ModelViolation("pop from empty synchronization stack")
-            onchip.extend(self._spilled.pop())
-            filled = True
-        token = onchip.pop()
-        return token, (_POP_EVENTS_FILL if filled else _POP_EVENTS)[token.kind]
+        tokens = self._tokens
+        if not tokens:
+            raise ModelViolation("pop from empty synchronization stack")
+        token = tokens.pop()
+        if len(tokens) < self._spilled:
+            self._spilled -= self.spill_chunk
+            return token, _POP_EVENTS_FILL[token.kind]
+        return token, _POP_EVENTS[token.kind]

@@ -178,6 +178,18 @@ def test_reg_float_outside_float32_exits_one(capsys, tmp_path):
     assert "R1" in err and "float32" in err
 
 
+@pytest.mark.parametrize("value,message", [
+    ("nan", "NaN"), ("99999999999", "32-bit signed"), ("0xFFFFFFFF", "32-bit signed")])
+def test_reg_value_follows_the_immediate_rules(capsys, tmp_path, value, message):
+    source = tmp_path / "prog.sasm"
+    source.write_text("MOV R2, R1\nEXIT\n", encoding="utf-8")
+    code, out, err = invoke(capsys, "run", "--program", str(source), "--reg", f"R1={value}")
+    assert code == 1 and out == ""
+    assert "R1" in err and message in err
+    code, out, _ = invoke(capsys, "run", "--program", str(source), "--reg", "R1=-inf")
+    assert code == 0 and "instructions" in out
+
+
 @pytest.mark.parametrize("argv,content", [
     (("run", "--program", "BAD"), b"EXIT \xff\n"),
     (("run", "--program", "OK", "--profile-file", "BAD"), b"div_cost = 1 \xff\n"),

@@ -10,6 +10,8 @@ from warpsim.stack import StackEvent, Token, TokenKind
 from conftest import checked_run
 
 FULL = 0xFFFFFFFF
+SMALL_STACK = ws.ArchProfile("small-stack", div_cost=32, spill_store_cost=40,
+                             spill_load_cost=44, phys_capacity=4, spill_chunk=2)
 
 
 def fresh_state(source="NOP\nEXIT", **launch_kwargs):
@@ -65,8 +67,7 @@ class TestPredicatedBranch:
     def test_none_taken_falls_through(self):
         state, _ = fresh_state()
         state.pc = 5
-        events = exec_predicated_branch(state, target=2, predicate=0)
-        assert events == ()
+        assert exec_predicated_branch(state, target=2, predicate=0) == ((), None)
         assert state.pc == 6
         assert state.active_mask == FULL
         assert state.stack.depth == 0
@@ -74,8 +75,7 @@ class TestPredicatedBranch:
     def test_all_taken_jumps_without_push(self):
         state, _ = fresh_state()
         state.pc = 5
-        events = exec_predicated_branch(state, target=2, predicate=FULL)
-        assert events == ()
+        assert exec_predicated_branch(state, target=2, predicate=FULL) == ((), None)
         assert state.pc == 2
         assert state.active_mask == FULL
         assert state.stack.depth == 0
@@ -83,9 +83,8 @@ class TestPredicatedBranch:
     def test_partial_pushes_not_taken_lanes(self):
         state, _ = fresh_state()
         state.pc = 9
-        events = exec_predicated_branch(state, target=2, predicate=0x7FFFFFFF)
-        assert [e for e, _ in events] == [StackEvent.DIV_PUSH]
-        token = events[0][1]
+        events, token = exec_predicated_branch(state, target=2, predicate=0x7FFFFFFF)
+        assert events == (StackEvent.DIV_PUSH,)
         assert token == Token(0x80000000, TokenKind.DIV, 10)
         assert state.active_mask == 0x7FFFFFFF
         assert state.pc == 2
@@ -94,16 +93,16 @@ class TestPredicatedBranch:
         state, _ = fresh_state()
         state.active_mask = 0x7FFFFFFF
         state.pc = 9
-        events = exec_predicated_branch(state, target=2, predicate=0x3FFFFFFF)
-        token = events[0][1]
+        events, token = exec_predicated_branch(state, target=2, predicate=0x3FFFFFFF)
+        assert events == (StackEvent.DIV_PUSH,)
         assert token.mask == 0x40000000
         assert state.active_mask == 0x3FFFFFFF
 
     def test_predicate_restricted_to_active_lanes(self):
         state, _ = fresh_state()
         state.active_mask = 0x0000FFFF
-        events = exec_predicated_branch(state, target=1, predicate=FULL)
-        assert events == ()  # every *active* lane takes it: uniform
+        # every *active* lane takes it: uniform
+        assert exec_predicated_branch(state, target=1, predicate=FULL) == ((), None)
         assert state.active_mask == 0x0000FFFF
 
     def test_mask_partition_property(self):
@@ -112,10 +111,10 @@ class TestPredicatedBranch:
         for active, pred in [(FULL, 0x13579BDF), (0xFF00FF00, 0x0F0F0F0F), (0x3, 0x1)]:
             state.active_mask = active
             state.pc = 0
-            events = exec_predicated_branch(state, 1, pred)
+            events, token = exec_predicated_branch(state, 1, pred)
             taken = pred & active
             if 0 < taken < active:
-                token = events[0][1]
+                assert events == (StackEvent.DIV_PUSH,)
                 assert token.mask & state.active_mask == 0
                 assert token.mask | state.active_mask == active
                 state.stack.pop()
@@ -124,9 +123,9 @@ class TestPredicatedBranch:
 class TestStep:
     def test_ssy_pushes_current_mask_and_target(self):
         state, program = fresh_state("SSY 2\nNOP.S\nEXIT")
-        events = step(state, program)
-        assert [e for e, _ in events] == [StackEvent.SYNC_PUSH]
-        assert events[0][1] == Token(FULL, TokenKind.SYNC, 2)
+        events, token = step(state, program)
+        assert events == (StackEvent.SYNC_PUSH,)
+        assert token == Token(FULL, TokenKind.SYNC, 2)
         assert state.pc == 1
 
     def test_pop_restores_mask_and_pc_then_executes_carrier(self):
@@ -143,10 +142,28 @@ class TestStep:
         state, program = fresh_state("NOP.S\nEXIT")
         state.active_mask = 0x40000000
         state.stack.push(Token(FULL, TokenKind.SYNC, 1))
-        events = step(state, program)
-        assert [e for e, _ in events] == [StackEvent.SYNC_POP]
+        events, token = step(state, program)
+        assert events == (StackEvent.SYNC_POP,)
+        assert token == Token(FULL, TokenKind.SYNC, 1)
         assert state.active_mask == FULL
         assert state.pc == 1
+
+    def test_spilling_push_and_reloading_pop_return_both_events(self):
+        state, program = fresh_state("@P0 BRA 2\nNOP.S\nEXIT", profile=SMALL_STACK)
+        for pc in range(4):
+            state.stack.push(Token(FULL, TokenKind.SYNC, pc))
+        state.preds[0] = 0x1
+        events, token = step(state, program)
+        assert events == (StackEvent.SPILL_STORE, StackEvent.DIV_PUSH)
+        assert token == Token(FULL - 1, TokenKind.DIV, 1)
+        assert (state.stack.onchip_count, state.stack.spilled_count) == (3, 2)
+        pops = [(1, TokenKind.DIV), (3, TokenKind.SYNC), (2, TokenKind.SYNC), (1, TokenKind.SYNC)]
+        for pc, kind in pops:  # the fourth pop finds the on-chip segment empty
+            state.pc = 1
+            events, token = step(state, program)
+            assert (token.kind, token.pc) == (kind, pc)
+        assert events == (StackEvent.SPILL_LOAD, StackEvent.SYNC_POP)
+        assert (state.stack.onchip_count, state.stack.spilled_count) == (1, 0)
 
     def test_pop_on_empty_stack_raises(self):
         state, program = fresh_state("NOP.S\nEXIT")
@@ -292,6 +309,18 @@ class TestRun:
         with pytest.raises(ProgramError, match="launch register R1 .*float32 range"):
             ws.run(ws.parse_program("NOP\nEXIT"), launch)
 
+    @pytest.mark.parametrize("value,message", [
+        (float("nan"), "NaN"), (1 << 31, "32-bit signed"), (-(1 << 31) - 1, "32-bit signed"),
+        (99999999999, "32-bit signed"), (0xFFFFFFFF, "32-bit signed")])
+    def test_launch_value_follows_the_immediate_rules(self, value, message):
+        bad = ws.LaunchConfig(registers={"R1": [0] * 31 + [value]})
+        with pytest.raises(ProgramError, match=f"launch register R1 .*{message}"):
+            ws.run(ws.parse_program("NOP\nEXIT"), bad)
+        edges = [-(1 << 31), (1 << 31) - 1, float("inf"), float("-inf")] * 8
+        result = ws.run(ws.parse_program("MOV R2, R1\nEXIT"),
+                        ws.LaunchConfig(registers={"R1": edges}))
+        assert result.register("R2") == tuple(edges)
+
     def test_every_opcode_executes(self):
         program = ws.parse_program(EVERY_OPCODE)
         assert {ins.opcode for ins in program.instructions} == set(ws.Opcode)
@@ -310,6 +339,21 @@ class TestRun:
         result = checked_run(program, launch)
         assert list(result.registers) == registers and list(result.slots) == state.slots
         assert result.cycles == state.cycle == 15
+
+    def test_spill_records_carry_no_token(self):
+        result = checked_run(ws.single_loop_program(),
+                             ws.kernel_launch("single", ws.bound_pattern(9).bounds, SMALL_STACK))
+        assert result.spill_stores == result.spill_loads == 3
+        spills = [r for r in result.event_log if r.kind >= StackEvent.SPILL_STORE]
+        moves = {r.ordinal: r for r in result.event_log if r.kind < StackEvent.SPILL_STORE}
+        assert len(spills) == 6 and len(moves) == result.events.pushes + result.pops
+        for spill in spills:
+            assert (spill.token_mask, spill.token_pc) == (None, None)
+            move = moves[spill.ordinal]
+            assert move.token_mask is not None and move.token_pc is not None
+            pushes = (StackEvent.SYNC_PUSH, StackEvent.DIV_PUSH)
+            assert (move.kind in pushes) == (spill.kind is StackEvent.SPILL_STORE)
+        assert all(r.token_mask is not None for r in moves.values())
 
     def test_counters_and_ordinals(self):
         result = checked_run(ws.parse_program("""

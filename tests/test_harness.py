@@ -48,11 +48,12 @@ class TestOracles:
 
     def test_oracle_set_binds_profile(self):
         oracles = ws.OracleSet.for_profile("single", ws.KEPLER)
-        assert oracles.push_count(4) == 5
-        assert oracles.spill_count(20) == 2
-        assert oracles.fit_cycles(10) == 2052
-        unbounded = ws.OracleSet.for_profile("single", ws.KEPLER.without_spilling())
-        assert unbounded.spill_count(31) == 0
+        assert oracles == ws.OracleSet(ws.KernelId.SINGLE_LOOP, "kepler", 16, 4)
+        unbounded = ws.OracleSet.for_profile("double", ws.KEPLER.without_spilling())
+        assert unbounded == ws.OracleSet(ws.KernelId.DOUBLE_LOOP, "kepler", None, 4)
+        small = ws.OracleSet.for_profile("single", ws.parse_profile(
+            "name = tiny\nphys_capacity = 4\nspill_chunk = 2"))
+        assert (small.arch, small.phys_capacity, small.spill_chunk) == ("tiny", 4, 2)
 
 
 class TestSweep:

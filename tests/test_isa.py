@@ -123,8 +123,6 @@ def test_file_sizes_are_capped():
     with pytest.raises(ProgramError, match="file sizes"):
         ws.validate_program(isa.Program((isa.Instruction(ws.Opcode.EXIT),),
                                         predicate_file_size=top + 1))
-    with pytest.raises(ProgramError, match="file sizes"):
-        ws.parse_program("EXIT", register_file_size=top + 1)
 
 
 def test_float_immediate_rounded_to_float32():

@@ -54,14 +54,14 @@ def test_divergence_partitions_the_active_mask(active, predicate):
     state = WarpState(ws.parse_program("NOP\nEXIT"), ws.LaunchConfig())
     state.active_mask = active
     state.pc = 0
-    events = exec_predicated_branch(state, target=1, predicate=predicate)
+    events, token = exec_predicated_branch(state, target=1, predicate=predicate)
     taken = predicate & active
     if taken == 0:
-        assert events == () and state.pc == 1 and state.active_mask == active
+        assert (events, token) == ((), None) and state.pc == 1 and state.active_mask == active
     elif taken == active:
-        assert events == () and state.pc == 1 and state.active_mask == active
+        assert (events, token) == ((), None) and state.pc == 1 and state.active_mask == active
     else:
-        ((kind, token),) = events
+        (kind,) = events
         assert kind is StackEvent.DIV_PUSH
         assert token.mask | state.active_mask == active
         assert token.mask & state.active_mask == 0
