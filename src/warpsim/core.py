@@ -17,8 +17,21 @@ Execution follows the classic branch-synchronization-stack discipline:
 
 Lane state is 32-bit: integer results wrap, float results round to
 float32.  Inactive lanes never observe register, predicate, or slot
-writes.  A run is a pure function of (program, launch, profile); equal
-inputs give bit-identical results.
+writes.
+
+A register row takes one of two forms.  While every lane holds an int
+it is one packed Python ``int``: lane t sits in bits 64t..64t+31 as a
+uint32 two's-complement value and the upper 32 bits of each field stay
+zero, so ``IADD``, ``ISETP.LT``, ``MOV``, ``CLOCK`` and masked writes
+are a few big-int operations on all 32 lanes at once (SWAR, "SIMD
+within a register").  A row in which some lane holds a float is a
+``list`` of 32 lane values.  Rows are unpacked to lane values only by
+``STSLOT``, by ``FADD32I`` reading an int row, by a masked write that
+mixes the two forms, by ``IADD`` and ``ISETP.LT`` when an operand row is
+a list, and for :attr:`RunResult.registers`.
+
+A run is a pure function of (program, launch, profile); equal inputs
+give bit-identical results.
 
 The live cycle counter implements the pop-attributed cost policy: each
 instruction executes, then advances it once by the profile's issue cost
@@ -50,6 +63,19 @@ _ZEROS = (0,) * WARP_SIZE
 _NO_EVENTS: tuple = ((), None)  # (events, token) of an instruction that moves no token
 _PACK32 = struct.Struct(f"<{WARP_SIZE}f")
 
+# Packed rows: 64-bit lane fields, value in the low 32 bits (see the module docstring).
+_LANES = struct.Struct("<" + "i4x" * WARP_SIZE)  # packed row bytes <-> int32 lane values
+_ROW_BYTES = _LANES.size
+_ONES = sum(1 << 64 * t for t in range(WARP_SIZE))  # 1 in every lane field
+_LOW = _MASK32 * _ONES                               # the 32 value bits of every field
+_SIGN = _BIAS * _ONES                                # the sign bit of every field
+_HIGH = _ONES << 32                                  # bit 32 of every field
+# Field mask of the 8 lanes of one mask byte; four lookups build any lane mask.
+_FIELD_BYTE = tuple(sum(_MASK32 << 64 * i for i in range(8) if b >> i & 1) for b in range(256))
+# ISETP.LT difference byte: 1 (no borrow) means a >= b, so digit "0".
+_LT_DIGITS = bytes.maketrans(b"\x00\x01", b"10")
+
+_LANES_CACHE_MAX = 1024
 _lanes_cache: dict[int, tuple[int, ...]] = {}
 
 
@@ -57,9 +83,33 @@ def lanes(mask: int) -> tuple[int, ...]:
     """Lane indices of the set bits of a 32-bit mask (bit t = lane t)."""
     cached = _lanes_cache.get(mask)
     if cached is None:
+        if len(_lanes_cache) >= _LANES_CACHE_MAX:  # divergence can make up to 2**32 masks
+            _lanes_cache.clear()
         cached = tuple(t for t in range(WARP_SIZE) if mask >> t & 1)
         _lanes_cache[mask] = cached
     return cached
+
+
+def unpack_row(row) -> Sequence:
+    """The 32 lane values of a register row: a tuple for a packed row, else the row itself."""
+    if type(row) is int:
+        return _LANES.unpack(row.to_bytes(_ROW_BYTES, "little"))
+    return row
+
+
+def _row(values: list):
+    """A list of lane values as a register row: packed unless some lane holds a float."""
+    try:
+        return int.from_bytes(_LANES.pack(*values), "little")
+    except struct.error:  # a float lane
+        return values
+
+
+def _field_mask(mask: int) -> int:
+    """The value bits of the lane fields selected by a 32-bit lane mask."""
+    table = _FIELD_BYTE
+    return (table[mask & 255] | table[mask >> 8 & 255] << 512
+            | table[mask >> 16 & 255] << 1024 | table[mask >> 24] << 1536)
 
 
 def _wrap32(value: int) -> int:
@@ -92,8 +142,7 @@ class WarpState:
         self.pc = 0
         self.active_mask = launch.active_mask
         self.launch_mask = launch.active_mask
-        self.regs: list = [[0] * WARP_SIZE for _ in range(program.register_file_size)]
-        self.regs.append(_ZEROS)  # RZ (index -1) reads this shared row
+        self.regs: list = [0] * (program.register_file_size + 1)  # RZ (index -1) reads 0
         for name, values in launch.registers.items():
             index = isa.register_index(name, program.register_file_size)
             if index == REG_RZ:
@@ -113,7 +162,7 @@ class WarpState:
                 if type(value) is int and not isa.INT32_MIN <= value <= isa.INT32_MAX:
                     raise ProgramError(f"launch register {name} holds {value}, "
                                        "outside the 32-bit signed range")
-            self.regs[index] = row
+            self.regs[index] = _row(row)
         self.preds = [0] * program.predicate_file_size + [_MASK32]  # PT (index -1)
         self.stack = launch.profile.new_stack()
         self.cycle = 0
@@ -283,28 +332,28 @@ def _exec_plain(state: WarpState, ins: Instruction) -> None:
 
     if op is _IADD:
         xs = regs[ins.src_a]
-        try:
+        ys = ins.imm if ins.src_b is None else regs[ins.src_b]
+        if type(xs) is int and type(ys) is int:
             if ins.src_b is None:
-                # Bias folded into the immediate so each lane wraps in one
-                # add/mask/subtract sequence.
-                other = ins.imm + _BIAS
-                values = [((x + other) & 0xFFFFFFFF) - 0x80000000 for x in xs]
-            else:
-                values = [((x + y + 0x80000000) & 0xFFFFFFFF) - 0x80000000
-                          for x, y in zip(xs, regs[ins.src_b])]
-        except TypeError:  # a float has no integer bits to wrap; only active lanes count
-            ys = (ins.imm,) * WARP_SIZE if ins.src_b is None else regs[ins.src_b]
+                ys = (ys & _MASK32) * _ONES
+            values = (xs + ys) & _LOW  # no carry leaves a 64-bit field
+        else:  # a float has no integer bits to wrap; only active lanes count
+            xs = unpack_row(xs)
+            ys = (ys,) * WARP_SIZE if ins.src_b is None else unpack_row(ys)
             values = [0] * WARP_SIZE
             for t in lanes(active):
                 if type(xs[t]) is float or type(ys[t]) is float:
                     raise ModelViolation(
-                        "IADD of a float register value; IADD adds integers") from None
+                        "IADD of a float register value; IADD adds integers")
                 values[t] = _wrap32(xs[t] + ys[t])
+            values = _row(values)
     elif op is _FADD:
         imm = ins.imm
         # Sums are exact in double precision, then rounded once to
         # float32, which equals a correctly rounded float32 addition.
         xs = regs[ins.src_a]
+        if type(xs) is int:
+            xs = unpack_row(xs)
         try:
             values = list(_PACK32.unpack(_PACK32.pack(*[x + imm for x in xs])))
         except OverflowError:  # only active lanes must stay in float32 range
@@ -317,24 +366,40 @@ def _exec_plain(state: WarpState, ins: Instruction) -> None:
                                          "is outside the float32 range") from None
     elif op is _ISETP:
         va = regs[ins.src_a]
-        vb = (ins.imm,) * WARP_SIZE if ins.src_b is None else regs[ins.src_b]
-        mask = 0
-        for t in lanes(active):
-            if va[t] < vb[t]:
-                mask |= 1 << t
+        vb = ins.imm if ins.src_b is None else regs[ins.src_b]
+        if type(va) is int and type(vb) is int:
+            if ins.src_b is None:
+                vb = ((vb + _BIAS) & _MASK32) * _ONES
+            else:
+                vb ^= _SIGN
+            # Per field, biased a + 2**32 - biased b borrows from bit 32 iff a < b.
+            diff = ((va ^ _SIGN) | _HIGH) - vb
+            mask = int(diff.to_bytes(_ROW_BYTES, "big")[3::8].translate(_LT_DIGITS), 2) & active
+        else:
+            va = unpack_row(va)
+            vb = (vb,) * WARP_SIZE if ins.src_b is None else unpack_row(vb)
+            mask = 0
+            for t in lanes(active):
+                if va[t] < vb[t]:
+                    mask |= 1 << t
         pdst = ins.pdst
         if pdst != PRED_PT:
             state.preds[pdst] = (state.preds[pdst] & ~active & _MASK32) | mask
         return
     elif op is _MOV:
-        values = [ins.imm] * WARP_SIZE if ins.src_a is None else list(regs[ins.src_a])
+        if ins.src_a is None:
+            values = (ins.imm & _MASK32) * _ONES
+        else:
+            values = regs[ins.src_a]
+            if type(values) is not int:
+                values = list(values)
     elif op is _CLOCK:
-        values = [_wrap32(state.cycle)] * WARP_SIZE
+        values = (state.cycle & _MASK32) * _ONES
     elif op is _STSLOT:
-        source = regs[ins.src_a]
+        source = unpack_row(regs[ins.src_a])
         slots = state.slots
         if ins.slot_reg is not None:
-            indices = regs[ins.slot_reg]
+            indices = unpack_row(regs[ins.slot_reg])
             for t in lanes(active):
                 index = indices[t]
                 if type(index) is not int or index < 0:
@@ -367,10 +432,17 @@ def _exec_plain(state: WarpState, ins: Instruction) -> None:
         return
     if active == FULL_MASK:
         regs[dst] = values
-    else:
-        reg = regs[dst]
-        for t in lanes(active):
-            reg[t] = values[t]
+        return
+    reg = regs[dst]
+    if type(reg) is int and type(values) is int:
+        regs[dst] = reg ^ ((reg ^ values) & _field_mask(active))
+        return
+    if type(reg) is int or type(values) is int:  # the forms mix: write lane by lane
+        reg = list(unpack_row(reg))
+        values = unpack_row(values)
+    for t in lanes(active):
+        reg[t] = values[t]
+    regs[dst] = reg if op is _FADD else _row(reg)  # FADD32I leaves a float lane
 
 
 def run(program: Program, launch: Union[LaunchConfig, None] = None, *,
@@ -443,7 +515,7 @@ def run(program: Program, launch: Union[LaunchConfig, None] = None, *,
         cycles=state.cycle,
         max_depth=max_depth,
         depth_history=tuple(depth_history),
-        registers=tuple(tuple(reg) for reg in state.regs[:-1]),
+        registers=tuple(tuple(unpack_row(reg)) for reg in state.regs[:-1]),
         slots=tuple(dict(s) for s in state.slots),
         event_log=tuple(event_log),
         final_active_mask=state.active_mask,

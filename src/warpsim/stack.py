@@ -3,11 +3,11 @@
 The stack serializes divergent control flow inside a warp: a SYNC token
 records the mask to restore at a re-convergence point, a DIV token parks
 the lanes that did not take a partially taken branch.  The logical stack
-is unbounded, but only ``phys_capacity`` entries live in fast on-chip
-storage.  Pushing into a full on-chip segment first evicts the oldest
-``spill_chunk`` entries to backing memory (one SPILL_STORE event);
-popping past the on-chip segment reloads the most recently spilled chunk
-(one SPILL_LOAD event).
+holds at most :data:`DEPTH_LIMIT` tokens, and only ``phys_capacity`` of
+them live in fast on-chip storage.  Pushing into a full on-chip segment
+first evicts the oldest ``spill_chunk`` entries to backing memory (one
+SPILL_STORE event); popping past the on-chip segment reloads the most
+recently spilled chunk (one SPILL_LOAD event).
 """
 
 from __future__ import annotations
@@ -25,6 +25,11 @@ class TokenKind(Enum):
 
 # A global read, not ``TokenKind.DIV`` (``EnumType.__getattr__``), on every push.
 _DIV = TokenKind.DIV
+
+# Logical depth past which a push is a model violation.  Structured code
+# nests far less deeply (the built-in kernels reach 33); the limit bounds
+# the time and memory of a loop that pushes without popping.
+DEPTH_LIMIT = 4096
 
 
 class Token(NamedTuple):
@@ -103,6 +108,9 @@ class SyncStack:
         if token.kind is _DIV and token.mask == 0:
             raise ModelViolation("DIV token with empty mask")
         tokens = self._tokens
+        if len(tokens) >= DEPTH_LIMIT:
+            raise ModelViolation(
+                f"push past the synchronization stack depth limit of {DEPTH_LIMIT} tokens")
         tokens.append(token)
         cap = self.phys_capacity
         if cap is not None and len(tokens) - self._spilled > cap:

@@ -3,10 +3,13 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from warpsim.cli import main
+from warpsim.stack import DEPTH_LIMIT
 
 
 def invoke(capsys, *argv):
@@ -159,6 +162,16 @@ def test_lane_value_violations_exit_two(capsys, tmp_path, text):
     assert "model violation" in err
 
 
+def test_push_loop_stops_at_the_depth_limit(capsys, tmp_path):
+    source = tmp_path / "push_loop.sasm"
+    source.write_text("top: SSY top\nBRA top\nEXIT\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, _, err = invoke(capsys, "run", "--program", str(source))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert f"depth limit of {DEPTH_LIMIT} tokens" in err
+
+
 def test_iadd_ignores_a_float_in_an_inactive_lane(capsys, tmp_path):
     source = tmp_path / "inactive.sasm"
     source.write_text("SSY join\nISETP.LT P0, R5, 16\n@P0 BRA flt\nIADD R2, R1, 1\n"
@@ -264,3 +277,98 @@ def test_module_entry_point():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "NOP.S" in proc.stdout
+
+
+# Token soup for the CLI fuzz test: statements shaped like the assembly,
+# with operands that are mostly valid, and junk in between.
+_OPERANDS = {
+    "reg": ["R0", "R1", "R2", "R5", "RZ"], "pred": ["P0", "P1", "PT"],
+    "target": ["top", "join", "0", "1", "2"], "int": ["0", "1", "-1", "16", "0x7FFFFFFF"],
+    "float": ["1.5", "-0.0", "3e38", "inf"], "slot": ["[R1]", "[RZ]", "[0]", "[40]"],
+}
+_OPERANDS["reg|int"] = _OPERANDS["reg"] + _OPERANDS["int"]
+_JUNK = st.one_of(st.sampled_from(["R16", "P7", "nan", "1e39", "08", "0b12", "2147483648",
+                                   "[-1]", "[", ";", "#", "@P0", ":", ".S"]),
+                  st.text(max_size=2))
+_SHAPES = {
+    "SSY": ("target",), "BRA": ("target",), "@P0 BRA": ("target",), "@PT BRA": ("target",),
+    "NOP": (), "NOP.S": (), "IADD": ("reg", "reg", "reg|int"),
+    "IADD.S": ("reg", "reg", "reg|int"), "FADD32I": ("reg", "reg", "float"),
+    "ISETP.LT": ("pred", "reg", "reg|int"), "MOV": ("reg", "reg|int"), "CLOCK": ("reg",),
+    "STSLOT": ("slot", "reg"), "EXIT": (),
+}
+
+
+def _statements(junk):
+    def operand(shape):
+        pool = st.sampled_from(_OPERANDS[shape])
+        return st.one_of(*[pool] * 9, _JUNK) if junk else pool
+    return st.sampled_from(sorted(_SHAPES)).flatmap(
+        lambda mnemonic: st.tuples(*map(operand, _SHAPES[mnemonic])).map(
+            lambda operands: f"{mnemonic} {', '.join(operands)}"))
+
+
+_ASM_LINES = st.tuples(st.sampled_from(["", "", "", "", "top:", "join:", ":"]),
+                       st.one_of(*[_statements(junk=True)] * 5, _JUNK)).map(" ".join)
+# Well-formed programs, so that runs reach the interpreter's own checks.
+_PROGRAMS = st.lists(_statements(junk=False), max_size=8).map(
+    lambda lines: ("top: " + "\n".join(lines) + "\njoin: EXIT\n").encode())
+_PROFILE_LINES = st.tuples(
+    st.sampled_from(["name", "div_cost", "phys_capacity", "spill_chunk", "spill_store_cost",
+                     "spill_load_cost", "issue_cost", "base.single", "base.double", "base.",
+                     "bogus", ""]),
+    st.sampled_from(["=", " = ", "=", "=", ""]),
+    st.sampled_from(["0", "1", "-1", "4", "16", "none", "inf", "0x10", "1e3", "", "x",
+                     "99999999999999999999", "-99999999999"])).map("".join)
+_REG_VALUES = ["0", "1", "-1", "0x10", "1.5", "nan", "inf", "-inf", "1e39", "2147483647",
+               "2147483648", "-2147483649", "", "x", "08"]
+_REG_OPTIONS = st.tuples(
+    st.sampled_from(["R1", "R5", "RZ", "R99", "P0", "", "r2"]),
+    st.sampled_from(["=", "", "=="]),
+    st.one_of(st.sampled_from(_REG_VALUES),
+              st.sampled_from(_REG_VALUES).map(lambda value: ",".join([value] * 32)),
+              st.lists(st.sampled_from(_REG_VALUES), max_size=33).map(",".join))).map("".join)
+
+
+def _soup_file(lines):
+    return st.tuples(st.lists(lines, max_size=8).map("\n".join), st.sampled_from([1, 1, 1, 0]),
+                     st.one_of(st.just(b""), st.just(b""), st.binary(max_size=3))).map(
+        lambda parts: (parts[0] + ("\nEXIT\n" if parts[1] else "")).encode(
+            "utf-8", "surrogatepass") + parts[2])
+
+
+@st.composite
+def cli_soup(draw):
+    """argv plus the bytes of the program and profile files it names."""
+    budget = ["--budget", str(draw(st.integers(min_value=-1, max_value=2000)))]
+    profile = draw(st.one_of(st.none(), st.none(), _soup_file(_PROFILE_LINES)))
+    arch = [] if profile is None else ["--profile-file", "PROFILE"]
+    if draw(st.booleans()):
+        command = draw(st.sampled_from(["run", "trace"]))
+        regs = [arg for option in draw(st.lists(_REG_OPTIONS, max_size=1))
+                for arg in ("--reg", option)]
+        argv = [command, "--program", "PROGRAM", *regs]
+        program = draw(st.one_of(_PROGRAMS, _soup_file(_ASM_LINES)))
+    else:
+        kernel = draw(st.sampled_from(["single", "double", "single-instrumented"]))
+        if draw(st.booleans()):
+            argv = [draw(st.sampled_from(["run", "trace"])), "--kernel", kernel,
+                    "--n", draw(st.sampled_from(["0", "5", "31", "32", "-1", "x"]))]
+        else:
+            argv = [draw(st.sampled_from(["sweep", "compare"])), "--kernel", kernel,
+                    "--n-range", draw(st.sampled_from(["0..0", "3..4", "31..31", "2..1", "x"]))]
+        program = b""
+    return argv + arch + budget + ["--out", "OUT"], program, profile
+
+
+@given(cli_soup())
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_cli_input_ends_in_an_exit_code(tmp_path_factory, soup):
+    argv, program, profile = soup
+    directory = tmp_path_factory.getbasetemp()
+    paths = {"PROGRAM": directory / "fuzz.sasm", "PROFILE": directory / "fuzz.profile",
+             "OUT": directory / "fuzz.out"}
+    paths["PROGRAM"].write_bytes(program)
+    if profile is not None:
+        paths["PROFILE"].write_bytes(profile)
+    assert main([str(paths.get(arg, arg)) for arg in argv]) in {0, 1, 2, 3}

@@ -1,9 +1,12 @@
 """Warp interpreter semantics: branching, pop-bit, masking, errors."""
 
+import random
+
 import pytest
 
 import warpsim as ws
-from warpsim.core import WarpState, exec_predicated_branch, step
+from warpsim import core
+from warpsim.core import WarpState, exec_predicated_branch, step, unpack_row
 from warpsim.errors import ModelViolation, ProgramError, RunawayLoopError
 from warpsim.stack import StackEvent, Token, TokenKind
 
@@ -135,8 +138,9 @@ class TestStep:
         assert state.active_mask == 0x40000000
         assert state.pc == 0  # token pointed back at the carrier
         # carrier executed under the restored mask: only lane 30 written
-        assert state.regs[1][30] == 1
-        assert sum(state.regs[1]) == 1
+        r1 = unpack_row(state.regs[1])
+        assert r1[30] == 1
+        assert sum(r1) == 1
 
     def test_sync_pop_restores_full_mask(self):
         state, program = fresh_state("NOP.S\nEXIT")
@@ -333,7 +337,7 @@ class TestRun:
         registers[1:7] = [(7,) * 32, tuple(lane), tuple(t - 10 for t in lane),
                           tuple(t - 3 for t in lane), (0.5,) * 32, (10,) * 32]
         registers[8] = tuple(lane)
-        assert [tuple(reg) for reg in state.regs[:-1]] == registers
+        assert [tuple(unpack_row(reg)) for reg in state.regs[:-1]] == registers
         assert state.preds[:-1] == [0b111, 0x7F, 0, 0, 0, 0, 0]
         assert state.slots == [{t: t - 3, 40: 0.5} for t in lane]
         result = checked_run(program, launch)
@@ -384,6 +388,30 @@ class TestRun:
             ws.run(program, ws.LaunchConfig(active_mask=0))
         with pytest.raises(ProgramError, match="active mask"):
             ws.run(program, ws.LaunchConfig(active_mask=1 << 32))
+
+    def test_lanes_cache_stays_within_its_cap(self):
+        # Lane t adds its own random step to R1, so the sign mask of R1 differs
+        # on almost every iteration, and STSLOT looks up each mask's lanes.
+        iterations = core._LANES_CACHE_MAX + 200
+        program = ws.parse_program(f"""
+        loop:   IADD R1, R1, R2
+                ISETP.LT P0, R1, 0
+                SSY next
+                @P0 BRA store
+                BRA unwind
+        store:  STSLOT [0], R1
+        unwind: NOP.S
+        next:   IADD R3, R3, 1
+                ISETP.LT P1, R3, {iterations}
+                @P1 BRA loop
+                EXIT
+        """)
+        rng = random.Random(0)
+        steps = [rng.randrange(-2**31, 2**31) for _ in range(32)]
+        result = checked_run(program, ws.LaunchConfig(registers={"R2": steps}))
+        masks = {r.active_after for r in result.event_log if r.kind is StackEvent.DIV_PUSH}
+        assert len(masks) > core._LANES_CACHE_MAX
+        assert 0 < len(core._lanes_cache) <= core._LANES_CACHE_MAX
 
     def test_trace_records_shape(self):
         result = checked_run(ws.parse_program("SSY 2\nNOP.S\nEXIT"), record_trace=True)

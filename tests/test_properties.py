@@ -136,3 +136,90 @@ def test_sync_pops_restore_the_mask_recorded_by_ssy(bounds):
                 assert recorded is not None
                 assert record.active_after == recorded
     assert pending == []
+
+
+# Packed integer lanes: a differential check against a per-lane scalar
+# reference that shares no code with warpsim.core.
+INT32_MIN, INT32_MAX = -(1 << 31), (1 << 31) - 1
+FULL = 0xFFFFFFFF
+
+int32s = st.one_of(st.sampled_from([INT32_MIN, INT32_MIN + 1, -1, 0, 1,
+                                    INT32_MAX - 1, INT32_MAX]),
+                   st.integers(min_value=INT32_MIN, max_value=INT32_MAX))
+lane_masks = st.one_of(st.just(FULL), st.integers(min_value=0, max_value=FULL))
+
+# P0..P3 land in R10..R13 through a divergent branch and a partial-mask MOV.
+_MATERIALISE = """
+        SSY j{k}
+        @P{k} BRA s{k}
+        BRA u{k}
+s{k}:   MOV R1{k}, 1
+u{k}:   NOP.S
+j{k}:   NOP
+"""
+PACKED_LANES = """
+        IADD R3, R1, R2          ; register form
+        IADD R4, R1, {imm}       ; immediate form
+        ISETP.LT P0, R1, R2      ; register form
+        ISETP.LT P1, R1, {imm}   ; immediate form
+        MOV R5, {imm2}
+        MOV R6, R2
+        ISETP.LT P2, R7, 0       ; the lanes of the split mask
+        SSY join
+        @P2 BRA div
+        MOV R8, R2               ; not-taken lanes
+        BRA unwind
+div:    IADD R8, R1, R2          ; partial-mask writes of packed rows
+        ISETP.LT P3, R2, R1
+        IADD R3, R3, {imm}
+unwind: NOP.S
+join:   NOP
+""" + "".join(_MATERIALISE.format(k=k) for k in range(4)) + "        EXIT\n"
+
+
+def _wrap(value):
+    return (value - INT32_MIN) % (1 << 32) + INT32_MIN
+
+
+def packed_lanes_reference(r1, r2, r7, imm, imm2, active):
+    """Final R0..R15 of PACKED_LANES, one scalar lane at a time."""
+    per_lane = []
+    for t in range(32):
+        lane = [0] * 16
+        lane[1], lane[2], lane[7] = r1[t], r2[t], r7[t]
+        if active >> t & 1:
+            a, b = r1[t], r2[t]
+            lane[3], lane[4], lane[5], lane[6] = _wrap(a + b), _wrap(a + imm), imm2, b
+            preds = [a < b, a < imm, r7[t] < 0, False]
+            if preds[2]:
+                lane[8], preds[3], lane[3] = _wrap(a + b), b < a, _wrap(lane[3] + imm)
+            else:
+                lane[8] = b
+            for k in range(4):
+                if preds[k]:
+                    lane[10 + k] = 1
+        per_lane.append(lane)
+    return [tuple(lane[r] for lane in per_lane) for r in range(16)]
+
+
+@st.composite
+def packed_lane_cases(draw):
+    r1 = draw(st.lists(int32s, min_size=32, max_size=32))
+    fresh = draw(st.lists(int32s, min_size=32, max_size=32))
+    # Lane t of R2 is R1's value, a +-1 neighbour of it (wrapped), or fresh.
+    relation = draw(st.lists(st.sampled_from([0, 1, -1, None]), min_size=32, max_size=32))
+    r2 = [fresh[t] if rel is None else _wrap(r1[t] + rel) for t, rel in enumerate(relation)]
+    split = draw(lane_masks)
+    r7 = [-(split >> t & 1) for t in range(32)]
+    active = draw(lane_masks.filter(bool))
+    return r1, r2, r7, draw(int32s), draw(int32s), active
+
+
+@given(packed_lane_cases())
+@settings(max_examples=60, deadline=None)
+def test_packed_lanes_match_a_scalar_reference(case):
+    r1, r2, r7, imm, imm2, active = case
+    program = ws.parse_program(PACKED_LANES.format(imm=imm, imm2=imm2))
+    launch = ws.LaunchConfig(registers={"R1": r1, "R2": r2, "R7": r7}, active_mask=active)
+    result = checked_run(program, launch)
+    assert list(result.registers) == packed_lanes_reference(r1, r2, r7, imm, imm2, active)

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 import warpsim as ws
 from warpsim.errors import ModelViolation, ProgramError
-from warpsim.stack import StackEvent, SyncStack, Token, TokenKind
+from warpsim.stack import DEPTH_LIMIT, StackEvent, SyncStack, Token, TokenKind
 
 from conftest import RefOverlay
 
@@ -79,6 +79,17 @@ def test_unbounded_capacity_never_spills():
     for i in range(1000):
         assert stack.push(div(pc=i)) == (StackEvent.DIV_PUSH,)
     assert stack.spilled_count == 0 and stack.depth == 1000
+
+
+def test_push_past_the_depth_limit_is_a_model_violation():
+    stack = SyncStack()
+    for i in range(DEPTH_LIMIT):
+        stack.push(sync(pc=i))
+    with pytest.raises(ModelViolation, match=f"depth limit of {DEPTH_LIMIT} tokens"):
+        stack.push(sync())
+    assert stack.depth == DEPTH_LIMIT
+    stack.pop()
+    stack.push(sync())  # back under the limit
 
 
 def test_invalid_geometry_rejected():
