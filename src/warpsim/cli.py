@@ -152,6 +152,8 @@ def _run_from_args(args, profile, record_trace=False):
         result = run_kernel(args.kernel, args.n, profile, budget=args.budget,
                             record_trace=record_trace)
         return args.kernel, args.n, result
+    if args.n is not None:
+        raise ProgramError("--n applies only to --kernel runs")
     program = parse_program(read_text(args.program))
     registers = dict(_parse_reg_option(option) for option in args.reg)
     launch = LaunchConfig(registers=registers, profile=profile)

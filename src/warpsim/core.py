@@ -33,6 +33,10 @@ a list, and for :attr:`RunResult.registers`.
 A run is a pure function of (program, launch, profile); equal inputs
 give bit-identical results.
 
+A traced run (``record_trace=True``) logs only the pc of each instruction
+and a mark for each stack event (:class:`Trace`); trace rows are derived
+from them when read, so tracing adds almost no work to the run.
+
 The live cycle counter implements the pop-attributed cost policy: each
 instruction executes, then advances it once by the profile's issue cost
 plus :attr:`ArchProfile.live_event_cycles` of each stack event it caused
@@ -44,8 +48,10 @@ issue, before the instruction's own charge.
 from __future__ import annotations
 
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Sequence, Union
+from itertools import count, islice
+from typing import Mapping, NamedTuple, Union
 
 from . import isa
 from .cost import KEPLER, ArchProfile, CostEvents
@@ -201,6 +207,71 @@ class TraceRecord(NamedTuple):
     cycle: int
 
 
+class Trace(Sequence):
+    """The trace of one run, kept as a pc log plus a mark at each stack event.
+
+    A mark ``(ordinal, active mask, depth, events, cycle)`` is taken after
+    each instruction that raised stack events.  Every other row keeps the
+    previous row's mask and depth (at first the launch mask and 0), has
+    no events, and adds the issue cost to the previous cycle (at first 0).
+    It reads as a sequence of :class:`TraceRecord`, built on first access.
+    """
+
+    __slots__ = ("pcs", "marks", "labels", "launch_mask", "issue_cost", "_records")
+
+    def __init__(self, pcs: list[int], marks: list[tuple], labels: tuple[str, ...],
+                 launch_mask: int, issue_cost: int):
+        self.pcs = pcs
+        self.marks = marks
+        self.labels = labels  # opcode label by pc
+        self.launch_mask = launch_mask
+        self.issue_cost = issue_cost
+        self._records: Union[tuple[TraceRecord, ...], None] = None
+
+    def rows(self):
+        """Yield runs ``(pcs, (active_mask, depth, event names), ordinals, cycles)``.
+
+        A run is a stretch of event-free rows or one row with events.  All
+        runs draw on one iterator over the pc log: consume each in turn.
+        """
+        pcs = iter(self.pcs)
+        issue = self.issue_cost
+        mask, depth, cycle, done = self.launch_mask, 0, 0, 0
+        names: dict = {}
+        for ordinal, mask_after, depth_after, events, cycle_after in self.marks:
+            if ordinal - 1 > done:
+                yield (islice(pcs, ordinal - 1 - done), (mask, depth, ()),
+                       count(done + 1), count(cycle + issue, issue))
+            event_names = names.get(events)
+            if event_names is None:
+                event_names = names[events] = tuple([_EVENT_NAMES[e] for e in events])
+            yield ((next(pcs),), (mask_after, depth_after, event_names),
+                   (ordinal,), (cycle_after,))
+            mask, depth, cycle, done = mask_after, depth_after, cycle_after, ordinal
+        yield pcs, (mask, depth, ()), count(done + 1), count(cycle + issue, issue)
+
+    def __len__(self) -> int:
+        return len(self.pcs)
+
+    def __getitem__(self, index):
+        if self._records is None:
+            labels = self.labels
+            self._records = tuple(
+                TraceRecord(ordinal, pc, labels[pc], mask, depth, names, cycle)
+                for pcs, (mask, depth, names), ordinals, cycles in self.rows()
+                for ordinal, pc, cycle in zip(ordinals, pcs, cycles))
+        return self._records[index]
+
+    def __iter__(self):
+        return iter(self[:])
+
+    def __eq__(self, other):
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return ((self.pcs, self.marks, self.labels, self.launch_mask, self.issue_cost)
+                == (other.pcs, other.marks, other.labels, other.launch_mask, other.issue_cost))
+
+
 @dataclass(frozen=True)
 class RunResult:
     """Counters, histories, and final state of one completed run."""
@@ -216,7 +287,7 @@ class RunResult:
     event_log: tuple[EventRecord, ...]
     final_active_mask: int
     launch_mask: int
-    trace: Union[tuple[TraceRecord, ...], None] = None
+    trace: Union[Trace, None] = None
 
     @property
     def sync_pushes(self) -> int:
@@ -452,7 +523,8 @@ def run(program: Program, launch: Union[LaunchConfig, None] = None, *,
     Raises :class:`RunawayLoopError` once ``budget`` instructions have
     executed without reaching EXIT, and :class:`ModelViolation` for pops
     from an empty stack, out-of-range program counters, or an EXIT that
-    leaves tokens on the stack.
+    leaves tokens on the stack.  With ``record_trace`` the result's
+    ``trace`` is a :class:`Trace` of the run; otherwise it is None.
     """
     isa.validate_program(program)
     if launch is None:
@@ -469,10 +541,8 @@ def run(program: Program, launch: Union[LaunchConfig, None] = None, *,
     instructions = program.instructions
     length = len(instructions)
     stack = state.stack
-    trace: Union[list[TraceRecord], None] = None
-    if record_trace:
-        trace = []
-        labels = [ins.opcode.value + (".S" if ins.pop_bit else "") for ins in instructions]
+    pcs: Union[list[int], None] = [] if record_trace else None
+    marks: Union[list[tuple], None] = [] if record_trace else None
 
     while not state.halted:
         if executed >= budget:
@@ -503,10 +573,10 @@ def run(program: Program, launch: Union[LaunchConfig, None] = None, *,
             depth_history.append((executed, depth))
             if depth > max_depth:
                 max_depth = depth
-        if trace is not None:
-            names = tuple([_EVENT_NAMES[event] for event in events]) if events else ()
-            trace.append(TraceRecord(executed, pc, labels[pc], state.active_mask, depth,
-                                     names, state.cycle))
+        if record_trace:
+            pcs.append(pc)
+            if events:
+                marks.append((executed, state.active_mask, depth, events, state.cycle))
 
     return RunResult(
         events=CostEvents(*counts),
@@ -520,7 +590,9 @@ def run(program: Program, launch: Union[LaunchConfig, None] = None, *,
         event_log=tuple(event_log),
         final_active_mask=state.active_mask,
         launch_mask=state.launch_mask,
-        trace=tuple(trace) if trace is not None else None,
+        trace=Trace(pcs, marks, tuple(ins.opcode.value + (".S" if ins.pop_bit else "")
+                                      for ins in instructions),
+                    state.launch_mask, state._issue_cost) if record_trace else None,
     )
 
 

@@ -13,7 +13,8 @@ differences (the fit curves do not include spill overhead).
 
 Emitted stack-history traces plot logical stack *depth* against executed
 instructions (the usual presentation labels that axis "cycles"; it is a
-depth, with ticks 0..32).
+depth, with ticks 0..32).  ``emit_trace`` writes them straight from the
+trace's pc log and marks, without building a record per instruction.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import csv
 import json
 from dataclasses import asdict, dataclass
 from math import ceil
+from itertools import repeat
+from operator import mod
 from typing import Iterable, Sequence, Union
 
 from .core import DEFAULT_BUDGET, RunResult, run, verify_result
@@ -29,10 +32,13 @@ from .cost import ArchProfile, charge
 from .errors import ProgramError
 from .kernels import KernelId, bound_pattern, kernel_launch, kernel_program
 
-_JSONL_RECORD = ('{"ordinal": %d, "pc": %d, "opcode": "%s", "active_mask": "0x%08x", '
-                 '"depth": %d, "event": %s, "cycle": %d}\n')
+# Per-pc trace line templates take (ordinal, state text, cycle); the state
+# text (active mask, depth, events) is shared by every row of a run.
+_JSONL_RECORD = '{"ordinal": %%d, "pc": %d, "opcode": "%s", "active_mask": %%s, "cycle": %%d}\n'
+_JSONL_STATE = '"0x%08x", "depth": %d, "event": %s'
 _CSV_TRACE_HEADER = "ordinal,pc,opcode,active_mask,depth,event,cycle\n"
-_CSV_RECORD = "%d,%d,%s,0x%08x,%d,%s,%d\n"
+_CSV_RECORD = "%%d,%d,%s,%%s,%%d\n"
+_CSV_STATE = "0x%08x,%d,%s"
 
 CSV_HEADER = ("n", "kernel", "arch", "div_pushes", "total_pushes", "max_depth",
               "spills", "extra_branches", "predicted_cycles", "oracle_cycles", "diff")
@@ -288,6 +294,10 @@ def emit_trace(result: RunResult, sink, fmt: str = "jsonl") -> None:
     Each record carries {ordinal, pc, opcode, active_mask, depth, event,
     cycle}; the depth column against ordinal reproduces the stack
     history plots.  Requires a run made with ``record_trace=True``.
+
+    Lines come from the trace's runs (:meth:`Trace.rows`), not from
+    :class:`TraceRecord` objects; each distinct state text and event list
+    is rendered once.
     """
     trace = result.trace
     if trace is None:
@@ -295,13 +305,28 @@ def emit_trace(result: RunResult, sink, fmt: str = "jsonl") -> None:
     if fmt == "jsonl":
         # json.dumps of {ordinal, pc, opcode, active_mask, depth, event, cycle}
         # spelled out; opcode labels are mnemonics that need no escaping.
-        events = {names: json.dumps(list(names)) for names in {r.events for r in trace}}
-        sink.writelines(_JSONL_RECORD % (ordinal, pc, opcode, mask, depth, events[names], cycle)
-                        for ordinal, pc, opcode, mask, depth, names, cycle in trace)
+        record, state_text, render = (_JSONL_RECORD, _JSONL_STATE,
+                                      lambda names: json.dumps(list(names)))
     elif fmt == "csv":
         # csv.writer's bytes: no field holds a comma, quote or line break.
+        record, state_text, render = _CSV_RECORD, _CSV_STATE, "+".join
         sink.write(_CSV_TRACE_HEADER)
-        sink.writelines(_CSV_RECORD % (ordinal, pc, opcode, mask, depth, "+".join(names), cycle)
-                        for ordinal, pc, opcode, mask, depth, names, cycle in trace)
     else:
         raise ProgramError(f"unknown trace format {fmt!r}")
+    lines = [record % (pc, label) for pc, label in enumerate(trace.labels)]
+    texts: dict[tuple, str] = {}
+    rendered: dict[tuple, str] = {}
+    for pcs, state, ordinals, cycles in trace.rows():
+        mask, depth, names = state
+        text = texts.get(state)
+        if text is None:
+            event = rendered.get(names)
+            if event is None:
+                event = rendered[names] = render(names)
+            text = texts[state] = state_text % (mask, depth, event)
+        if names:  # a run with events is one row: format it directly
+            (pc,), (ordinal,), (cycle,) = pcs, ordinals, cycles
+            sink.write(lines[pc] % (ordinal, text, cycle))
+        else:
+            sink.writelines(map(mod, map(lines.__getitem__, pcs),
+                                zip(ordinals, repeat(text), cycles)))

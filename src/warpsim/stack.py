@@ -23,7 +23,7 @@ class TokenKind(Enum):
     DIV = "DIV"    # pushed by a partially taken branch; holds the not-taken lanes
 
 
-# A global read, not ``TokenKind.DIV`` (``EnumType.__getattr__``), on every push.
+# A global read, not ``TokenKind.DIV`` (``EnumType.__getattr__``), on every push and pop.
 _DIV = TokenKind.DIV
 
 # Logical depth past which a push is a model violation.  Structured code
@@ -52,17 +52,12 @@ class StackEvent(IntEnum):
     SPILL_LOAD = 5
 
 
-# Prebuilt event tuples so the hot path never allocates for the common cases.
-_PUSH_EVENTS = {
-    TokenKind.SYNC: (StackEvent.SYNC_PUSH,),
-    TokenKind.DIV: (StackEvent.DIV_PUSH,),
-}
-_PUSH_EVENTS_SPILL = {k: (StackEvent.SPILL_STORE,) + v for k, v in _PUSH_EVENTS.items()}
-_POP_EVENTS = {
-    TokenKind.SYNC: (StackEvent.SYNC_POP,),
-    TokenKind.DIV: (StackEvent.DIV_POP,),
-}
-_POP_EVENTS_FILL = {k: (StackEvent.SPILL_LOAD,) + v for k, v in _POP_EVENTS.items()}
+# Prebuilt event tuples, indexed by ``token.kind is _DIV``, so the hot path
+# neither allocates nor hashes a ``TokenKind`` (``Enum.__hash__`` is Python).
+_PUSH_EVENTS = ((StackEvent.SYNC_PUSH,), (StackEvent.DIV_PUSH,))
+_PUSH_EVENTS_SPILL = tuple((StackEvent.SPILL_STORE,) + events for events in _PUSH_EVENTS)
+_POP_EVENTS = ((StackEvent.SYNC_POP,), (StackEvent.DIV_POP,))
+_POP_EVENTS_FILL = tuple((StackEvent.SPILL_LOAD,) + events for events in _POP_EVENTS)
 
 
 class SyncStack:
@@ -105,7 +100,8 @@ class SyncStack:
 
     def push(self, token: Token) -> tuple[StackEvent, ...]:
         """Push a token, spilling the oldest chunk first if on-chip is full."""
-        if token.kind is _DIV and token.mask == 0:
+        div = token.kind is _DIV
+        if div and token.mask == 0:
             raise ModelViolation("DIV token with empty mask")
         tokens = self._tokens
         if len(tokens) >= DEPTH_LIMIT:
@@ -115,8 +111,8 @@ class SyncStack:
         cap = self.phys_capacity
         if cap is not None and len(tokens) - self._spilled > cap:
             self._spilled += self.spill_chunk
-            return _PUSH_EVENTS_SPILL[token.kind]
-        return _PUSH_EVENTS[token.kind]
+            return _PUSH_EVENTS_SPILL[div]
+        return _PUSH_EVENTS[div]
 
     def pop(self) -> tuple[Token, tuple[StackEvent, ...]]:
         """Pop the top token, reloading the newest spilled chunk if needed."""
@@ -126,5 +122,5 @@ class SyncStack:
         token = tokens.pop()
         if len(tokens) < self._spilled:
             self._spilled -= self.spill_chunk
-            return token, _POP_EVENTS_FILL[token.kind]
-        return token, _POP_EVENTS[token.kind]
+            return token, _POP_EVENTS_FILL[token.kind is _DIV]
+        return token, _POP_EVENTS[token.kind is _DIV]

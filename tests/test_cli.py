@@ -191,6 +191,15 @@ def test_reg_float_outside_float32_exits_one(capsys, tmp_path):
     assert "R1" in err and "float32" in err
 
 
+@pytest.mark.parametrize("command", ["run", "trace"])
+def test_n_with_a_program_exits_one(capsys, tmp_path, command):
+    source = tmp_path / "prog.sasm"
+    source.write_text("NOP\nEXIT\n", encoding="utf-8")
+    code, out, err = invoke(capsys, command, "--program", str(source), "--n", "77")
+    assert code == 1 and out == ""
+    assert "--n applies only to --kernel runs" in err
+
+
 @pytest.mark.parametrize("value,message", [
     ("nan", "NaN"), ("99999999999", "32-bit signed"), ("0xFFFFFFFF", "32-bit signed")])
 def test_reg_value_follows_the_immediate_rules(capsys, tmp_path, value, message):

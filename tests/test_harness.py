@@ -197,13 +197,15 @@ join:   EXIT
 """
 
 
-def traced_spilling_loop():
+def spilling_loop_launch():
     """Eight lanes leave one by one: depth 9 on a 4-entry stack spilled 2 at a time."""
     bounds = [32 if t < 24 else 55 - t for t in range(32)]
-    return checked_run(ws.parse_program(SPILLING_LOOP),
-                       ws.LaunchConfig(registers={"R5": bounds},
-                                       profile=dataclasses.replace(
-                                           ws.KEPLER, phys_capacity=4, spill_chunk=2)),
+    return ws.LaunchConfig(registers={"R5": bounds},
+                           profile=dataclasses.replace(ws.KEPLER, phys_capacity=4, spill_chunk=2))
+
+
+def traced_spilling_loop():
+    return checked_run(ws.parse_program(SPILLING_LOOP), spilling_loop_launch(),
                        record_trace=True)
 
 
