@@ -155,7 +155,11 @@ def _run_from_args(args, profile, record_trace=False):
     if args.n is not None:
         raise ProgramError("--n applies only to --kernel runs")
     program = parse_program(read_text(args.program))
-    registers = dict(_parse_reg_option(option) for option in args.reg)
+    registers: dict = {}
+    for name, values in map(_parse_reg_option, args.reg):
+        if name in registers:  # a dict would keep the last value silently
+            raise ProgramError(f"--reg {name} given more than once")
+        registers[name] = values
     launch = LaunchConfig(registers=registers, profile=profile)
     result = run(program, launch, budget=args.budget, record_trace=record_trace)
     return args.program, None, result

@@ -33,9 +33,9 @@ a list, and for :attr:`RunResult.registers`.
 A run is a pure function of (program, launch, profile); equal inputs
 give bit-identical results.
 
-A traced run (``record_trace=True``) logs only the pc of each instruction
-and a mark for each stack event (:class:`Trace`); trace rows are derived
-from them when read, so tracing adds almost no work to the run.
+A run logs one tuple per instruction that moved a stack token
+(:attr:`RunResult.moves`); its event log, depth history and trace rows are
+views of it.  A traced run (``record_trace=True``) adds only a pc log (:class:`Trace`).
 
 The live cycle counter implements the pop-attributed cost policy: each
 instruction executes, then advances it once by the profile's issue cost
@@ -149,10 +149,15 @@ class WarpState:
         self.active_mask = launch.active_mask
         self.launch_mask = launch.active_mask
         self.regs: list = [0] * (program.register_file_size + 1)  # RZ (index -1) reads 0
+        names: dict[int, str] = {}
         for name, values in launch.registers.items():
             index = isa.register_index(name, program.register_file_size)
             if index == REG_RZ:
                 raise ProgramError("cannot assign launch values to RZ")
+            if index in names:
+                raise ProgramError(f"launch registers {names[index]} and {name} "
+                                   f"name one register, R{index}")
+            names[index] = name
             if len(values) != WARP_SIZE:
                 raise ProgramError(
                     f"launch register {name} needs {WARP_SIZE} values, got {len(values)}"
@@ -183,7 +188,7 @@ class EventRecord(NamedTuple):
 
     ``depth`` is the logical stack depth after the instruction that
     produced the event; ``active_before``/``active_after`` bracket that
-    instruction.  Spill events carry no token.
+    instruction.  Spill events carry no token.  Built from the move log.
     """
 
     ordinal: int
@@ -208,21 +213,21 @@ class TraceRecord(NamedTuple):
 
 
 class Trace(Sequence):
-    """The trace of one run, kept as a pc log plus a mark at each stack event.
+    """The trace of one run: a pc log plus the run's stack-move log.
 
-    A mark ``(ordinal, active mask, depth, events, cycle)`` is taken after
-    each instruction that raised stack events.  Every other row keeps the
+    Each move marks the row of its instruction with the active mask,
+    depth, events and cycle after it.  Every other row keeps the
     previous row's mask and depth (at first the launch mask and 0), has
     no events, and adds the issue cost to the previous cycle (at first 0).
     It reads as a sequence of :class:`TraceRecord`, built on first access.
     """
 
-    __slots__ = ("pcs", "marks", "labels", "launch_mask", "issue_cost", "_records")
+    __slots__ = ("pcs", "moves", "labels", "launch_mask", "issue_cost", "_records")
 
-    def __init__(self, pcs: list[int], marks: list[tuple], labels: tuple[str, ...],
+    def __init__(self, pcs: list[int], moves: tuple[tuple, ...], labels: tuple[str, ...],
                  launch_mask: int, issue_cost: int):
         self.pcs = pcs
-        self.marks = marks
+        self.moves = moves
         self.labels = labels  # opcode label by pc
         self.launch_mask = launch_mask
         self.issue_cost = issue_cost
@@ -238,7 +243,7 @@ class Trace(Sequence):
         issue = self.issue_cost
         mask, depth, cycle, done = self.launch_mask, 0, 0, 0
         names: dict = {}
-        for ordinal, mask_after, depth_after, events, cycle_after in self.marks:
+        for ordinal, events, _, _, mask_after, depth_after, cycle_after in self.moves:
             if ordinal - 1 > done:
                 yield (islice(pcs, ordinal - 1 - done), (mask, depth, ()),
                        count(done + 1), count(cycle + issue, issue))
@@ -268,26 +273,42 @@ class Trace(Sequence):
     def __eq__(self, other):
         if not isinstance(other, Trace):
             return NotImplemented
-        return ((self.pcs, self.marks, self.labels, self.launch_mask, self.issue_cost)
-                == (other.pcs, other.marks, other.labels, other.launch_mask, other.issue_cost))
+        return ((self.pcs, self.moves, self.labels, self.launch_mask, self.issue_cost)
+                == (other.pcs, other.moves, other.labels, other.launch_mask, other.issue_cost))
 
 
 @dataclass(frozen=True)
 class RunResult:
-    """Counters, histories, and final state of one completed run."""
+    """Counters, stack-move log, and final state of one completed run.
+
+    ``moves`` holds ``(ordinal, events, token, active_before, active_after, depth,
+    cycle)`` per token move; ``event_log`` and ``depth_history`` are views of it.
+    """
 
     events: CostEvents
     executed_instructions: int
     executed_branches: int
     cycles: int
     max_depth: int
-    depth_history: tuple[tuple[int, int], ...]
     registers: tuple[tuple, ...]
     slots: tuple[dict, ...]
-    event_log: tuple[EventRecord, ...]
+    moves: tuple[tuple, ...]
     final_active_mask: int
     launch_mask: int
     trace: Union[Trace, None] = None
+
+    @property
+    def event_log(self) -> tuple[EventRecord, ...]:
+        return tuple(EventRecord(ordinal, event, None, None, depth, before, after)
+                     if event >= _SPILL_STORE else
+                     EventRecord(ordinal, event, token.mask, token.pc, depth, before, after)
+                     for ordinal, events, token, before, after, depth, _ in self.moves
+                     for event in events)
+
+    @property
+    def depth_history(self) -> tuple[tuple[int, int], ...]:
+        """``(ordinal, depth)`` after each move, after a starting ``(0, 0)``."""
+        return ((0, 0),) + tuple((move[0], move[5]) for move in self.moves)
 
     @property
     def sync_pushes(self) -> int:
@@ -532,17 +553,13 @@ def run(program: Program, launch: Union[LaunchConfig, None] = None, *,
     state = WarpState(program, launch)
 
     counts = [0] * len(StackEvent)
-    event_log: list[EventRecord] = []
-    depth_history: list[tuple[int, int]] = [(0, 0)]
+    moves: list[tuple] = []
     executed = 0
     branches = 0
-    depth = 0
-    max_depth = 0
     instructions = program.instructions
     length = len(instructions)
     stack = state.stack
     pcs: Union[list[int], None] = [] if record_trace else None
-    marks: Union[list[tuple], None] = [] if record_trace else None
 
     while not state.halted:
         if executed >= budget:
@@ -560,37 +577,26 @@ def run(program: Program, launch: Union[LaunchConfig, None] = None, *,
             branches += 1
 
         if events:  # exactly one push or pop: the depth moves by one
-            depth = stack.depth
-            active_after = state.active_mask
             for event in events:
                 counts[event] += 1
-                if event >= _SPILL_STORE:  # spills, last in StackEvent, carry no token
-                    event_log.append(EventRecord(executed, event, None, None,
-                                                 depth, active_before, active_after))
-                else:
-                    event_log.append(EventRecord(executed, event, token.mask, token.pc,
-                                                 depth, active_before, active_after))
-            depth_history.append((executed, depth))
-            if depth > max_depth:
-                max_depth = depth
+            moves.append((executed, events, token, active_before, state.active_mask,
+                          stack.depth, state.cycle))
         if record_trace:
             pcs.append(pc)
-            if events:
-                marks.append((executed, state.active_mask, depth, events, state.cycle))
 
+    moves = tuple(moves)
     return RunResult(
         events=CostEvents(*counts),
         executed_instructions=executed,
         executed_branches=branches,
         cycles=state.cycle,
-        max_depth=max_depth,
-        depth_history=tuple(depth_history),
+        max_depth=max((move[5] for move in moves), default=0),
         registers=tuple(tuple(unpack_row(reg)) for reg in state.regs[:-1]),
         slots=tuple(dict(s) for s in state.slots),
-        event_log=tuple(event_log),
+        moves=moves,
         final_active_mask=state.active_mask,
         launch_mask=state.launch_mask,
-        trace=Trace(pcs, marks, tuple(ins.opcode.value + (".S" if ins.pop_bit else "")
+        trace=Trace(pcs, moves, tuple(ins.opcode.value + (".S" if ins.pop_bit else "")
                                       for ins in instructions),
                     state.launch_mask, state._issue_cost) if record_trace else None,
     )
@@ -614,31 +620,29 @@ def verify_result(result: RunResult) -> RunResult:
     if result.final_active_mask != result.launch_mask:
         raise ModelViolation("run ended without full re-convergence")
 
-    history = result.depth_history
-    if not history or history[0] != (0, 0) or history[-1][1] != 0:
+    depth = peak = 0
+    for _, moved, token, before, after, cur, _ in result.moves:
+        if cur != depth + 1 and cur != depth - 1:
+            raise ModelViolation(f"depth history jumps from {depth} to {cur}")
+        depth = cur
+        if depth > peak:
+            peak = depth
+        for kind in moved:
+            if kind is _DIV_PUSH:
+                if token.mask == 0:
+                    raise ModelViolation("DIV token with empty mask")
+                if token.mask & after:
+                    raise ModelViolation("DIV token overlaps the surviving active mask")
+                if (token.mask | after) != before:
+                    raise ModelViolation("divergence does not partition the active mask")
+            elif kind is _SYNC_POP or kind is _DIV_POP:
+                if after != token.mask:
+                    raise ModelViolation("pop did not restore the token mask")
+    if depth != 0:
         raise ModelViolation("depth history must start and end at depth 0")
-    ups = downs = 0
-    for (_, prev), (_, cur) in zip(history, history[1:]):
-        if cur == prev + 1:
-            ups += 1
-        elif cur == prev - 1:
-            downs += 1
-        else:
-            raise ModelViolation(f"depth history jumps from {prev} to {cur}")
-    if ups != events.pushes or downs != events.pops:
+    # A +-1 walk from depth 0 back to 0 has as many ups as downs, and pushes == pops.
+    if len(result.moves) != events.pushes + events.pops:
         raise ModelViolation("depth history inconsistent with push/pop counters")
-    if max((d for _, d in history), default=0) != result.max_depth:
+    if peak != result.max_depth:
         raise ModelViolation("max_depth inconsistent with depth history")
-
-    for record in result.event_log:
-        if record.kind is _DIV_PUSH:
-            if record.token_mask == 0:
-                raise ModelViolation("DIV token with empty mask")
-            if record.token_mask & record.active_after:
-                raise ModelViolation("DIV token overlaps the surviving active mask")
-            if (record.token_mask | record.active_after) != record.active_before:
-                raise ModelViolation("divergence does not partition the active mask")
-        elif record.kind is _SYNC_POP or record.kind is _DIV_POP:
-            if record.active_after != record.token_mask:
-                raise ModelViolation("pop did not restore the token mask")
     return result

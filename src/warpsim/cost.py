@@ -50,6 +50,9 @@ class ArchProfile:
         for attr in ("div_cost", "spill_store_cost", "spill_load_cost", "issue_cost"):
             if getattr(self, attr) < 0:
                 raise ProgramError(f"{attr} must be >= 0")
+        for kernel, cycles in self.base_cycles.items():
+            if cycles < 0:
+                raise ProgramError(f"base.{kernel} must be >= 0")
         # Constructing a stack validates the capacity/chunk relationship.
         SyncStack(self.phys_capacity, self.spill_chunk)
 

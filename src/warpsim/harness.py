@@ -14,7 +14,7 @@ differences (the fit curves do not include spill overhead).
 Emitted stack-history traces plot logical stack *depth* against executed
 instructions (the usual presentation labels that axis "cycles"; it is a
 depth, with ticks 0..32).  ``emit_trace`` writes them straight from the
-trace's pc log and marks, without building a record per instruction.
+trace's pc log and move log, without building a record per instruction.
 """
 
 from __future__ import annotations
@@ -289,7 +289,7 @@ def write_sweep(rows: Sequence[SweepRow], sink, fmt: str = "csv") -> None:
 
 
 def emit_trace(result: RunResult, sink, fmt: str = "jsonl") -> None:
-    """Write the per-instruction event log of a traced run.
+    """Write the trace of a traced run, one line per executed instruction.
 
     Each record carries {ordinal, pc, opcode, active_mask, depth, event,
     cycle}; the depth column against ordinal reproduces the stack

@@ -200,6 +200,26 @@ def test_n_with_a_program_exits_one(capsys, tmp_path, command):
     assert "--n applies only to --kernel runs" in err
 
 
+def test_negative_base_constant_in_a_profile_file_exits_one(capsys, tmp_path):
+    profile = tmp_path / "negative.profile"
+    profile.write_text("div_cost = 32\nbase.single = -5\n", encoding="utf-8")
+    code, out, err = invoke(capsys, "run", "--kernel", "single", "--n", "0",
+                            "--profile-file", str(profile))
+    assert code == 1 and out == ""
+    assert "base.single must be >= 0" in err
+
+
+@pytest.mark.parametrize("regs", [("R1=1", "R1=2"), ("R1=1", "R1=1"), ("r1=1", "R1=2")],
+                         ids=["same-name", "same-value", "case"])
+def test_two_reg_options_for_one_register_exit_one(capsys, tmp_path, regs):
+    source = tmp_path / "prog.sasm"
+    source.write_text("MOV R2, R1\nEXIT\n", encoding="utf-8")
+    argv = [arg for option in regs for arg in ("--reg", option)]
+    code, out, err = invoke(capsys, "run", "--program", str(source), *argv)
+    assert code == 1 and out == ""
+    assert "R1" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("value,message", [
     ("nan", "NaN"), ("99999999999", "32-bit signed"), ("0xFFFFFFFF", "32-bit signed")])
 def test_reg_value_follows_the_immediate_rules(capsys, tmp_path, value, message):

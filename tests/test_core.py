@@ -389,6 +389,15 @@ class TestRun:
         with pytest.raises(ProgramError, match="active mask"):
             ws.run(program, ws.LaunchConfig(active_mask=1 << 32))
 
+    def test_two_launch_names_for_one_register_are_rejected(self):
+        program = ws.parse_program("MOV R2, R1\nEXIT")
+        for names in (("r1", "R1"), ("R1", " R1"), ("R01", "R1")):
+            registers = {name: [value] * 32 for value, name in enumerate(names)}
+            with pytest.raises(ProgramError, match=f"{names[0]} and {names[1]} .*R1"):
+                ws.run(program, ws.LaunchConfig(registers=registers))
+        result = checked_run(program, ws.LaunchConfig(registers={"R1": [3] * 32, "R2": [4] * 32}))
+        assert result.register("R2") == (3,) * 32
+
     def test_lanes_cache_stays_within_its_cap(self):
         # Lane t adds its own random step to R1, so the sign mask of R1 differs
         # on almost every iteration, and STSLOT looks up each mask's lanes.
@@ -442,3 +451,50 @@ class TestVerifyResult:
             result, events=dataclasses.replace(result.events, spill_stores=1))
         with pytest.raises(ModelViolation):
             ws.verify_result(bad)
+
+
+    @pytest.mark.parametrize("message,tamper", [
+        ("depth history jumps from 0 to 2",
+         lambda moves: _edit_first(moves, StackEvent.SYNC_PUSH, "depth", lambda m: 2)),
+        ("must start and end at depth 0", lambda moves: moves[:-1]),
+        ("inconsistent with push/pop counters", lambda moves: ()),
+        ("DIV token with empty mask",
+         lambda moves: _edit_first(moves, StackEvent.DIV_PUSH, "token",
+                                   lambda m: m["token"]._replace(mask=0))),
+        ("overlaps the surviving active mask",
+         lambda moves: _edit_first(moves, StackEvent.DIV_PUSH, "token", lambda m: m["token"]
+                                   ._replace(mask=m["token"].mask | m["active_after"]))),
+        ("does not partition",
+         lambda moves: _edit_first(moves, StackEvent.DIV_PUSH, "active_before",
+                                   lambda m: m["active_before"] ^ 1)),
+        ("did not restore the token mask",
+         lambda moves: _edit_first(moves, StackEvent.SYNC_POP, "active_after",
+                                   lambda m: m["active_after"] ^ 1)),
+        ("did not restore the token mask",
+         lambda moves: _edit_first(moves, StackEvent.DIV_POP, "active_after",
+                                   lambda m: m["active_after"] ^ 1)),
+    ], ids=["jump", "end-depth", "counters", "empty-div", "overlap", "partition", "sync-pop",
+            "div-pop"])
+    def test_rejects_a_tampered_move_log(self, message, tamper):
+        import dataclasses
+
+        result = ws.verify_result(ws.run(ws.single_loop_program(),
+                                         ws.kernel_launch("single", ws.bound_pattern(3).bounds)))
+        bad = dataclasses.replace(result, moves=tamper(result.moves))
+        assert bad.moves != result.moves
+        with pytest.raises(ModelViolation, match=message):
+            ws.verify_result(bad)
+
+
+MOVE_FIELDS = ("ordinal", "events", "token", "active_before", "active_after", "depth", "cycle")
+
+
+def _edit_first(moves, kind, field, edit):
+    """``moves`` with ``field`` of the first move that raised ``kind`` set to ``edit(move)``.
+
+    ``edit`` reads the move as a dict of its fields by name.
+    """
+    i = next(i for i, move in enumerate(moves) if kind in move[1])
+    move = dict(zip(MOVE_FIELDS, moves[i]))
+    move[field] = edit(move)
+    return moves[:i] + (tuple(move.values()),) + moves[i + 1:]

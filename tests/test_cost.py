@@ -99,6 +99,7 @@ def test_parse_profile_defaults_and_unbounded():
     ("div_cost = 1\ndiv_cost = 2", "duplicate"),
     ("div_cost", "key = value"),
     ("base. = 3", "empty kernel id"),
+    ("base.single = -5", "base.single must be >= 0"),
 ])
 def test_parse_profile_errors(text, fragment):
     with pytest.raises(ProgramError, match=fragment):

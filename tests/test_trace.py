@@ -1,8 +1,9 @@
-"""Traced runs: the trace against a reference built by stepping, its memory, its API.
+"""Run records against a reference built by stepping; their memory; the trace API.
 
-The reference drives ``core.step`` on a fresh ``WarpState`` and reads
-the state after each instruction, so it shares no code with the trace
-recorder in ``run`` or with the trace's row derivation.
+The references drive ``core.step`` on a fresh ``WarpState`` and read the
+state around each instruction, so they share no code with the move log
+that ``run`` keeps or with the trace rows, event log and depth history
+derived from it.
 """
 
 import dataclasses
@@ -37,6 +38,34 @@ def reference_trace(program, launch):
     return records
 
 
+def reference_views(program, launch):
+    """The EventRecord log and depth history, read off the state around each step."""
+    state = WarpState(program, launch)
+    log, history, ordinal = [], [(0, 0)], 0
+    while not state.halted:
+        before = state.active_mask
+        events, token = step(state, program)
+        ordinal += 1
+        depth = state.stack.depth
+        for event in events:
+            spill = event in (ws.StackEvent.SPILL_STORE, ws.StackEvent.SPILL_LOAD)
+            log.append(ws.EventRecord(ordinal, event, None if spill else token.mask,
+                                      None if spill else token.pc, depth, before,
+                                      state.active_mask))
+        if events:
+            history.append((ordinal, depth))
+    return tuple(log), tuple(history)
+
+
+def assert_views_match_reference(program, launch):
+    log, history = reference_views(program, launch)
+    assert log  # every program under test moves the stack
+    for record_trace in (False, True):
+        result = checked_run(program, launch, record_trace=record_trace)
+        assert result.event_log == log and result.depth_history == history
+        assert result.max_depth == max(depth for _, depth in history)
+
+
 def assert_trace_matches_reference(program, launch):
     result = checked_run(program, launch, record_trace=True)
     expected = reference_trace(program, launch)
@@ -68,6 +97,24 @@ def test_every_opcode_trace_equals_the_stepped_reference():
                                    ws.LaunchConfig(registers={"R8": list(range(32))}))
 
 
+@pytest.mark.parametrize("n", [0, 1, 16, 17, 31])
+@pytest.mark.parametrize("profile", [ws.KEPLER, ws.MAXWELL, SPILLING],
+                         ids=lambda profile: profile.name)
+@pytest.mark.parametrize("kernel", [kernel.value for kernel in ws.KernelId])
+def test_kernel_event_log_and_depth_history_equal_the_stepped_reference(kernel, profile, n):
+    assert_views_match_reference(ws.kernel_program(kernel),
+                                 ws.kernel_launch(kernel, ws.bound_pattern(n).bounds, profile))
+
+
+def test_spilling_loop_event_log_and_depth_history_equal_the_stepped_reference():
+    assert_views_match_reference(ws.parse_program(SPILLING_LOOP), spilling_loop_launch())
+
+
+def test_every_opcode_event_log_and_depth_history_equal_the_stepped_reference():
+    assert_views_match_reference(ws.parse_program(EVERY_OPCODE),
+                                 ws.LaunchConfig(registers={"R8": list(range(32))}))
+
+
 def test_traced_event_free_loop_stays_under_16_bytes_per_instruction():
     program = ws.parse_program("top: IADD R1, R1, 1\nBRA top\nEXIT")
     budget = 100_000
@@ -79,6 +126,22 @@ def test_traced_event_free_loop_stays_under_16_bytes_per_instruction():
     finally:
         tracemalloc.stop()
     assert peak < 16 * budget
+
+
+def test_untraced_push_pop_loop_stays_under_206_bytes_per_instruction():
+    # Every instruction moves a token, so each one adds an entry to the move log.
+    # The peak reads 204.6 B per instruction in a fresh process and 200.8 B once
+    # CPython's 7-tuple free list holds its 2000 spare tuples from an earlier run.
+    program = ws.parse_program("top: SSY top\nNOP.S\nEXIT")
+    budget = 50_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(ws.RunawayLoopError):
+            ws.run(program, budget=budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 206 * budget
 
 
 def test_trace_reads_as_a_sequence_of_records():
