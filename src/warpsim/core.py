@@ -47,10 +47,12 @@ issue, before the instruction's own charge.
 
 from __future__ import annotations
 
+import operator
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import count, islice
+from numbers import Real
 from typing import Mapping, NamedTuple, Union
 
 from . import isa
@@ -158,22 +160,7 @@ class WarpState:
                 raise ProgramError(f"launch registers {names[index]} and {name} "
                                    f"name one register, R{index}")
             names[index] = name
-            if len(values) != WARP_SIZE:
-                raise ProgramError(
-                    f"launch register {name} needs {WARP_SIZE} values, got {len(values)}"
-                )
-            try:
-                row = [isa.f32(v) if isinstance(v, float) else int(v) for v in values]
-            except OverflowError:
-                raise ProgramError(
-                    f"launch register {name} holds a value outside the float32 range") from None
-            for value in row:  # the immediate rules: int32 ints, no NaN (+-inf is legal)
-                if value != value:
-                    raise ProgramError(f"launch register {name} holds NaN")
-                if type(value) is int and not isa.INT32_MIN <= value <= isa.INT32_MAX:
-                    raise ProgramError(f"launch register {name} holds {value}, "
-                                       "outside the 32-bit signed range")
-            self.regs[index] = _row(row)
+            self.regs[index] = _launch_row(name, values)
         self.preds = [0] * program.predicate_file_size + [_MASK32]  # PT (index -1)
         self.stack = launch.profile.new_stack()
         self.cycle = 0
@@ -181,6 +168,43 @@ class WarpState:
         self.slots: list[dict[int, Union[int, float]]] = [{} for _ in range(WARP_SIZE)]
         self._issue_cost = launch.profile.issue_cost
         self._event_cycles = launch.profile.live_event_cycles
+
+
+def _launch_row(name: str, values: Sequence) -> Union[int, list]:
+    """The register row of one launch register's values, by the immediate rules:
+    int32 integers, float32 reals, no NaN (+-inf is legal)."""
+    if len(values) != WARP_SIZE:
+        raise ProgramError(f"launch register {name} needs {WARP_SIZE} values, got {len(values)}")
+    try:
+        return int.from_bytes(_LANES.pack(*values), "little")  # all int32 integers
+    except struct.error:  # a lane that is no integer, or outside int32
+        pass
+    try:
+        if {*map(type, values)} == {float}:
+            row = list(_PACK32.unpack(_PACK32.pack(*values)))
+        else:
+            row = [_launch_value(name, value) for value in values]
+    except OverflowError:
+        raise ProgramError(
+            f"launch register {name} holds a value outside the float32 range") from None
+    for value in row:
+        if value != value:
+            raise ProgramError(f"launch register {name} holds NaN")
+        if type(value) is int and not isa.INT32_MIN <= value <= isa.INT32_MAX:
+            raise ProgramError(f"launch register {name} holds {value}, "
+                               "outside the 32-bit signed range")
+    return _row(row)
+
+
+def _launch_value(name: str, value) -> Union[int, float]:
+    """An integer through ``operator.index``, another real as a float32 float."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        if not isinstance(value, Real):
+            raise ProgramError(f"launch register {name} holds {value!r}, "
+                               "not an integer or a real number") from None
+    return isa.f32(float(value))
 
 
 class EventRecord(NamedTuple):
@@ -591,7 +615,8 @@ def run(program: Program, launch: Union[LaunchConfig, None] = None, *,
         executed_branches=branches,
         cycles=state.cycle,
         max_depth=max((move[5] for move in moves), default=0),
-        registers=tuple(tuple(unpack_row(reg)) for reg in state.regs[:-1]),
+        registers=tuple(_ZEROS if reg == 0 else tuple(unpack_row(reg))
+                        for reg in state.regs[:-1]),
         slots=tuple(dict(s) for s in state.slots),
         moves=moves,
         final_active_mask=state.active_mask,

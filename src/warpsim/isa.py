@@ -81,6 +81,10 @@ class Opcode(Enum):
     STORE_SLOT = "STSLOT"
     EXIT = "EXIT"
 
+    # Enum's own __hash__ is a Python function; identity hashing agrees with
+    # Enum's identity equality and keeps SPECS lookups at C speed.
+    __hash__ = object.__hash__
+
 
 _MNEMONICS = {op.value: op for op in Opcode}
 
@@ -175,13 +179,24 @@ def predicate_name(index: int) -> str:
     return "PT" if index == PRED_PT else f"P{index}"
 
 
+# Canonical names of every file row; other spellings (" r4 ", "R01") take the regex.
+_REGISTER_INDEX = {"RZ": REG_RZ, **{f"R{i}": i for i in range(MAX_FILE_SIZE)}}
+_PREDICATE_INDEX = {"PT": PRED_PT, **{f"P{i}": i for i in range(MAX_FILE_SIZE)}}
+
+
 def register_index(name: str, file_size: int = DEFAULT_REGISTER_FILE) -> int:
     """Parse a register name ("R4" or "RZ") into an index."""
+    index = _REGISTER_INDEX.get(name)
+    if index is not None and index < file_size:
+        return index
     return _file_index(name, file_size, "register", "RZ")
 
 
 def predicate_index(name: str, file_size: int = DEFAULT_PREDICATE_FILE) -> int:
     """Parse a predicate name ("P0" or "PT") into an index."""
+    index = _PREDICATE_INDEX.get(name)
+    if index is not None and index < file_size:
+        return index
     return _file_index(name, file_size, "predicate", "PT")
 
 
@@ -282,7 +297,7 @@ def _check_instruction(i: int, ins: Instruction, length: int, regs: int, preds: 
                 raise _err(i, ins, f"immediate {value!r} is not float32-exact")
 
 
-_LABEL_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*:\s*(.*)$")
+_LABEL_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*:\s*")
 _INT_RE = re.compile(r"^[+-]?(0[xXoObB][0-9a-fA-F]+|\d+)$")
 
 
@@ -295,9 +310,7 @@ def _parse_int_literal(token: str) -> Union[int, None]:
 
 def strip_comment(line: str) -> str:
     """The text of ``line`` before any ``#`` or ``;`` comment, stripped."""
-    for marker in "#;":
-        line = line.partition(marker)[0]
-    return line.strip()
+    return line.partition("#")[0].partition(";")[0].strip()
 
 
 def read_text(path) -> str:
@@ -315,44 +328,44 @@ def parse_program(text: str) -> Program:
     Raises :class:`AsmError` naming the offending line on any syntax,
     register-range, or label-resolution problem.
     """
-    register_file_size = DEFAULT_REGISTER_FILE
-    predicate_file_size = DEFAULT_PREDICATE_FILE
+    sizes = {".registers": DEFAULT_REGISTER_FILE, ".predicates": DEFAULT_PREDICATE_FILE}
     statements: list[tuple[int, Union[str, None], str, bool, list[str]]] = []
     labels: dict[str, int] = {}
-    pending_labels: list[tuple[int, str]] = []
+    dangling = None  # (line, name) of the first label after the last statement
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = strip_comment(raw)
         if not line:
             continue
 
-        if line.startswith("."):
-            if statements or pending_labels:
+        if line[0] == ".":
+            if statements or labels:
                 raise AsmError(line_no, "directives must precede all instructions")
             parts = line.split()
             if len(parts) != 2 or (value := _parse_int_literal(parts[1])) is None:
                 raise AsmError(line_no, f"malformed directive {line!r}")
-            if parts[0] not in (".registers", ".predicates"):
+            if parts[0] not in sizes:
                 raise AsmError(line_no, f"unknown directive {parts[0]!r}")
             if not 1 <= value <= MAX_FILE_SIZE:
                 raise AsmError(line_no, f"{parts[0]} {value} outside 1..{MAX_FILE_SIZE}")
-            if parts[0] == ".registers":
-                register_file_size = value
-            else:
-                predicate_file_size = value
+            sizes[parts[0]] = value
             continue
 
-        while (match := _LABEL_RE.match(line)) is not None:
+        start = 0  # labels are matched in place: slicing after each is quadratic
+        while ":" in line and (match := _LABEL_RE.match(line, start)) is not None:
             name = match.group(1)
-            if name in labels or any(n == name for _, n in pending_labels):
+            if name in labels:
                 raise AsmError(line_no, f"duplicate label {name!r}")
-            pending_labels.append((line_no, name))
-            line = match.group(2)
+            labels[name] = len(statements)  # the index of the next statement
+            if dangling is None:
+                dangling = (line_no, name)
+            start = match.end()
+        line = line[start:]
         if not line:
             continue
 
         pred_token = None
-        if line.startswith("@"):
+        if line[0] == "@":
             parts = line[1:].split(None, 1)
             if len(parts) != 2:
                 raise AsmError(line_no, "predicate prefix without instruction")
@@ -364,19 +377,17 @@ def parse_program(text: str) -> Program:
         if mnemonic.endswith(".S"):
             pop_bit = True
             mnemonic = mnemonic[:-2]
-        operands = [tok.strip() for tok in rest[0].split(",")] if rest else []
-        if any(not tok for tok in operands):
+        operands = list(map(str.strip, rest[0].split(","))) if rest else []
+        if "" in operands:
             raise AsmError(line_no, "empty operand")
-
-        for _, name in pending_labels:
-            labels[name] = len(statements)
-        pending_labels.clear()
+        dangling = None
         statements.append((line_no, pred_token, mnemonic, pop_bit, operands))
 
-    for line_no, name in pending_labels:
-        raise AsmError(line_no, f"label {name!r} attached to no instruction")
+    if dangling is not None:
+        raise AsmError(dangling[0], f"label {dangling[1]!r} attached to no instruction")
     if not statements:
         raise AsmError(1, "empty program")
+    register_file_size, predicate_file_size = sizes.values()
 
     instructions = []
     for index, (line_no, pred_token, mnemonic, pop_bit, operands) in enumerate(statements):

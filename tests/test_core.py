@@ -1,7 +1,10 @@
 """Warp interpreter semantics: branching, pop-bit, masking, errors."""
 
 import random
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import warpsim as ws
@@ -317,13 +320,49 @@ class TestRun:
         (float("nan"), "NaN"), (1 << 31, "32-bit signed"), (-(1 << 31) - 1, "32-bit signed"),
         (99999999999, "32-bit signed"), (0xFFFFFFFF, "32-bit signed")])
     def test_launch_value_follows_the_immediate_rules(self, value, message):
-        bad = ws.LaunchConfig(registers={"R1": [0] * 31 + [value]})
-        with pytest.raises(ProgramError, match=f"launch register R1 .*{message}"):
-            ws.run(ws.parse_program("NOP\nEXIT"), bad)
+        for fill in (0, 0.0):
+            bad = ws.LaunchConfig(registers={"R1": [fill] * 31 + [value]})
+            with pytest.raises(ProgramError, match=f"launch register R1 .*{message}"):
+                ws.run(ws.parse_program("NOP\nEXIT"), bad)
         edges = [-(1 << 31), (1 << 31) - 1, float("inf"), float("-inf")] * 8
         result = ws.run(ws.parse_program("MOV R2, R1\nEXIT"),
                         ws.LaunchConfig(registers={"R1": edges}))
         assert result.register("R2") == tuple(edges)
+
+    @pytest.mark.parametrize("value,want", [
+        (np.float32(1.5), 1.5), (Fraction(3, 2), 1.5), (Fraction(-5), -5.0),
+        (np.float64(0.1), ws.f32(0.1)), (np.int64(-7), -7), (np.uint8(200), 200),
+        (True, 1)])
+    def test_launch_values_keep_their_number_type(self, value, want):
+        program = ws.parse_program("MOV R2, R1\nEXIT")
+        for first in (value, 0, 0.25):
+            row = [first] * 31 + [value]
+            got = ws.run(program, ws.LaunchConfig(registers={"R1": row})).register("R2")
+            assert got[31] == want and type(got[31]) is type(want)
+            if first is not value:
+                assert got[:31] == tuple(row[:31])
+
+    @pytest.mark.parametrize("value", [Decimal("2.7"), "7", 1 + 0j, None])
+    def test_launch_value_that_is_no_real_number_is_a_program_error(self, value):
+        program = ws.parse_program("NOP\nEXIT")
+        for row in ([value] * 32, [0] * 31 + [value], [0.5] + [value] * 31):
+            with pytest.raises(ProgramError) as err:
+                ws.run(program, ws.LaunchConfig(registers={"R3": row}))
+            assert str(err.value) == (f"launch register R3 holds {value!r}, "
+                                      "not an integer or a real number")
+
+    def test_launch_rows_equal_their_lane_by_lane_conversion(self):
+        rng = random.Random(5)
+        pool = [0, -1, 7, (1 << 31) - 1, -(1 << 31), 0.1, -2.5, 1e30, float("inf"), True]
+        for _ in range(200):
+            row = [rng.choice(pool) for _ in range(32)]
+            if rng.random() < 0.3:
+                row = [float(v) for v in row]
+            want = tuple(ws.f32(v) if isinstance(v, float) else int(v) for v in row)
+            got = ws.run(ws.parse_program("MOV R2, R1\nEXIT"),
+                         ws.LaunchConfig(registers={"R1": row})).register("R2")
+            assert got == want
+            assert [type(v) for v in got] == [type(v) for v in want]
 
     def test_every_opcode_executes(self):
         program = ws.parse_program(EVERY_OPCODE)

@@ -60,36 +60,71 @@ def test_unconditional_and_numeric_target():
     assert prog.instructions[0].pred is None and prog.instructions[0].target == 1
 
 
-@pytest.mark.parametrize("source,line,fragment", [
-    ("FROB R1\nEXIT", 1, "unknown mnemonic"),
-    ("BRA nowhere\nEXIT", 1, "unresolved label"),
-    ("MOV R99, 1\nEXIT", 1, "register"),
-    ("NOP\nISETP.LT P9, R0, 1\nEXIT", 2, "predicate"),
-    ("@P0 NOP\nEXIT", 1, "predication"),
-    ("SSY.S 1\nEXIT", 1, "pop-bit"),
-    ("BRA.S 1\nEXIT", 1, "pop-bit"),
-    ("dup: NOP\ndup: NOP\nEXIT", 2, "duplicate label"),
-    ("IADD R1, R2\nEXIT", 1, "expected operands"),
+@pytest.mark.parametrize("source,line,message", [
+    ("FROB R1\nEXIT", 1, "unknown mnemonic 'FROB'"),
+    ("BRA nowhere\nEXIT", 1, "unresolved label 'nowhere'"),
+    ("MOV R99, 1\nEXIT", 1, "register R99 outside file of 16"),
+    ("NOP\nISETP.LT P9, R0, 1\nEXIT", 2, "predicate P9 outside file of 7"),
+    ("@P0 NOP\nEXIT", 1, "instruction 0 (NOP): predication not allowed on this opcode"),
+    ("SSY.S 1\nEXIT", 1, "instruction 0 (SSY): pop-bit not allowed on this opcode"),
+    ("BRA.S 1\nEXIT", 1, "instruction 0 (BRA): pop-bit not allowed on this opcode"),
+    ("dup: NOP\ndup: NOP\nEXIT", 2, "duplicate label 'dup'"),
+    ("IADD R1, R2\nEXIT", 1, "expected operands: IADD reg, reg, reg|int"),
     ("MOV R1,, 2\nEXIT", 1, "empty operand"),
-    ("NOP\n.registers 8\nEXIT", 2, "directives must precede"),
-    ("STSLOT R4, R5\nEXIT", 1, "bracketed"),
-    ("STSLOT [-1], R5\nEXIT", 1, "slot index"),
-    ("FADD32I R0, R0, nope\nEXIT", 1, "float"),
-    ("FADD32I R0, R0, 1e300\nEXIT", 1, "float32"),
-    ("MOV R1, 08\nEXIT", 1, "not a register name"),
-    ("IADD R1, R1, 0b12\nEXIT", 1, "not a register name"),
-    ("BRA 0o9\nEXIT", 1, "unresolved label"),
-    (".registers 09\nEXIT", 1, "malformed directive"),
-    ("MOV R1, 5000000000\nNOP\nNOP\nEXIT", 1, "32-bit"),
-    ("FADD32I R1, RZ, nan\nEXIT", 1, "float32-exact"),
-    (".registers 100000000\nEXIT", 1, "outside 1..255"),
-    (".registers 4\n.predicates 0\nEXIT", 2, "outside 1..255"),
+    ("NOP\n.registers 8\nEXIT", 2, "directives must precede all instructions"),
+    ("STSLOT R4, R5\nEXIT", 1, "slot operand must be bracketed: 'R4'"),
+    ("STSLOT [-1], R5\nEXIT", 1, "instruction 0 (STSLOT): slot index -1 must be >= 0"),
+    ("FADD32I R0, R0, nope\nEXIT", 1, "not a float32 immediate: 'nope'"),
+    ("FADD32I R0, R0, 1e300\nEXIT", 1, "not a float32 immediate: '1e300'"),
+    ("MOV R1, 08\nEXIT", 1, "not a register name: '08'"),
+    ("IADD R1, R1, 0b12\nEXIT", 1, "not a register name: '0b12'"),
+    ("BRA 0o9\nEXIT", 1, "unresolved label '0o9'"),
+    (".registers 09\nEXIT", 1, "malformed directive '.registers 09'"),
+    ("MOV R1, 5000000000\nNOP\nNOP\nEXIT", 1,
+     "instruction 0 (MOV): immediate 5000000000 outside 32-bit signed range"),
+    ("FADD32I R1, RZ, nan\nEXIT", 1,
+     "instruction 0 (FADD32I): immediate nan is not float32-exact"),
+    (".registers 100000000\nEXIT", 1, ".registers 100000000 outside 1..255"),
+    (".registers 4\n.predicates 0\nEXIT", 2, ".predicates 0 outside 1..255"),
+    ("EXIT\norphan:", 2, "label 'orphan' attached to no instruction"),
+    ("NOP\na: ; b\nb: c: # d\n", 2, "label 'a' attached to no instruction"),
+    ("a: b: a: EXIT", 1, "duplicate label 'a'"),
+    ("FROB R1\ndup: NOP\ndup: EXIT", 3, "duplicate label 'dup'"),
+    ("MOV R99, 1\nx:", 2, "label 'x' attached to no instruction"),
+    ("a: .registers 4\nEXIT", 1, "unknown mnemonic '.REGISTERS'"),
+    ("a:\n.registers 4\nEXIT", 2, "directives must precede all instructions"),
+    ("@P0\nEXIT", 1, "predicate prefix without instruction"),
+    ("@P9 BRA 1\nEXIT", 1, "predicate P9 outside file of 7"),
+    ("BRA 2\nEXIT", 1, "instruction 0 (BRA): target 2 out of range"),
+    ("MOV R1, 2\nMOV R1,, 2\nEXIT", 2, "empty operand"),
+    ("EXIT\nFROB\nEXIT", 2, "unknown mnemonic 'FROB'"),
+    ("EXIT\nNOP", 2, "program must contain exactly one EXIT, as the final instruction"),
+    ("; nothing here\n", 1, "empty program"),
 ])
-def test_parse_errors_name_the_line(source, line, fragment):
+def test_parse_errors_name_the_line(source, line, message):
     with pytest.raises(AsmError) as err:
         ws.parse_program(source)
     assert err.value.line_no == line
-    assert fragment in str(err.value)
+    assert str(err.value) == f"line {line}: {message}"
+
+
+def test_long_label_runs_attach_to_the_next_instruction():
+    names = [f"L{k}" for k in range(8000)]
+    text = "\n".join(f"{name}:" for name in names) + "\nEXIT\n"
+    assert ws.parse_program(text).labels == dict.fromkeys(names, 0)
+    one_line = " ".join(f"{name}:" for name in names) + " EXIT"
+    assert ws.parse_program(one_line).labels == dict.fromkeys(names, 0)
+    runs = "NOP\n" + "\n".join(f"{name}: NOP" for name in names) + "\nEXIT\n"
+    assert ws.parse_program(runs).labels == {name: k + 1 for k, name in enumerate(names)}
+    with pytest.raises(AsmError) as err:
+        ws.parse_program(text.replace("EXIT", "L17: EXIT"))
+    assert (err.value.line_no, str(err.value)) == (8001, "line 8001: duplicate label 'L17'")
+    with pytest.raises(AsmError) as err:
+        ws.parse_program("EXIT\n" + text.replace("EXIT", ""))
+    assert str(err.value) == "line 2: label 'L0' attached to no instruction"
+    with pytest.raises(AsmError) as err:
+        ws.parse_program(one_line.replace(" EXIT", " L17: EXIT"))
+    assert str(err.value) == "line 1: duplicate label 'L17'"
 
 
 def test_structural_errors():
@@ -260,6 +295,42 @@ def test_register_and_predicate_names():
     (isa.predicate_index, "p7", 7, "predicate P7 outside file of 7"),
 ])
 def test_register_and_predicate_index_errors(parse, name, size, message):
+    with pytest.raises(ProgramError) as err:
+        parse(name, size)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("parse,name,size,index", [
+    (isa.register_index, " r4 ", 16, 4),
+    (isa.register_index, "R01", 16, 1),
+    (isa.register_index, "R0004", 5, 4),
+    (isa.register_index, "r15", 16, 15),
+    (isa.register_index, "rz", 16, isa.REG_RZ),
+    (isa.register_index, "Rz", 1, isa.REG_RZ),
+    (isa.register_index, " RZ\n", 16, isa.REG_RZ),
+    (isa.register_index, "R254", 255, 254),
+    (isa.predicate_index, "pt", 7, isa.PRED_PT),
+    (isa.predicate_index, " PT ", 1, isa.PRED_PT),
+    (isa.predicate_index, "P01", 7, 1),
+    (isa.predicate_index, " p6 ", 7, 6),
+])
+def test_register_and_predicate_index_accept_non_canonical_names(parse, name, size, index):
+    assert parse(name, size) == index
+
+
+@pytest.mark.parametrize("parse,name,size,message", [
+    (isa.register_index, "R01", 1, "register R01 outside file of 1"),
+    (isa.register_index, "R255", 255, "register R255 outside file of 255"),
+    (isa.register_index, "R16", 16, "register R16 outside file of 16"),
+    (isa.register_index, "R 1", 16, "not a register name: 'R 1'"),
+    (isa.register_index, "R-1", 16, "not a register name: 'R-1'"),
+    (isa.register_index, "RT", 16, "not a register name: 'RT'"),
+    (isa.predicate_index, "P7", 7, "predicate P7 outside file of 7"),
+    (isa.predicate_index, "PZ", 7, "not a predicate name: 'PZ'"),
+    (isa.predicate_index, "p07", 7, "predicate P07 outside file of 7"),
+])
+def test_register_and_predicate_index_errors_on_canonical_and_padded_names(
+        parse, name, size, message):
     with pytest.raises(ProgramError) as err:
         parse(name, size)
     assert str(err.value) == message
