@@ -1,8 +1,7 @@
 """Warp-level SIMT divergence emulator with a stack-spill cycle cost model."""
 
 from .core import (DEFAULT_BUDGET, FULL_MASK, WARP_SIZE, EventRecord, LaunchConfig,
-                   RunResult, TraceRecord, WarpState, exec_predicated_branch, run, step,
-                   verify_result)
+                   RunResult, TraceRecord, WarpState, run, step, verify_result)
 from .cost import (BUILTIN_PROFILES, KEPLER, MAXWELL, ArchProfile, CostEvents, charge,
                    get_profile, load_profile, parse_profile)
 from .errors import AsmError, ModelViolation, ProgramError, RunawayLoopError
@@ -13,9 +12,7 @@ from .harness import (CSV_HEADER, CompareCheck, CompareReport, OracleSet, SweepR
 from .isa import (Instruction, Opcode, Program, f32, format_instruction, format_program,
                   parse_program, validate_program)
 from .kernels import (BODY_STEP, BOUND_REGISTERS, FINAL_TIMESTAMP_SLOT, OUTER_STEP,
-                      BoundPattern, KernelId, bound_pattern, double_loop_program,
-                      instrumented_single_loop_program, kernel_launch, kernel_program,
-                      single_loop_program)
+                      BoundPattern, KernelId, bound_pattern, kernel_launch, kernel_program)
 from .stack import StackEvent, SyncStack, Token, TokenKind
 
 __version__ = "0.1.0"
@@ -28,11 +25,9 @@ __all__ = [
     "OracleSet", "OUTER_STEP", "Program", "ProgramError", "RunResult",
     "RunawayLoopError", "StackEvent", "SweepRow", "SyncStack", "Token", "TokenKind",
     "TraceRecord", "WARP_SIZE", "WarpState", "bound_pattern", "charge", "compare",
-    "double_loop_program", "emit_trace", "exec_predicated_branch", "expected_max_depth",
-    "expected_push_count", "expected_spill_count", "f32", "fit_curve",
-    "format_compare_report", "format_instruction", "format_program", "get_profile",
-    "instrumented_single_loop_program", "kernel_launch", "kernel_program", "load_profile",
-    "make_row", "parse_profile", "parse_program", "run", "run_kernel",
-    "single_loop_program", "step", "sweep", "validate_program", "verify_result",
-    "write_sweep",
+    "emit_trace", "expected_max_depth", "expected_push_count", "expected_spill_count",
+    "f32", "fit_curve", "format_compare_report", "format_instruction", "format_program",
+    "get_profile", "kernel_launch", "kernel_program", "load_profile", "make_row",
+    "parse_profile", "parse_program", "run", "run_kernel", "step", "sweep",
+    "validate_program", "verify_result", "write_sweep",
 ]

@@ -11,6 +11,7 @@ import argparse
 import sys
 from contextlib import contextmanager
 
+from . import isa
 from .core import DEFAULT_BUDGET, LaunchConfig, run, verify_result
 from .cost import ArchProfile, charge, get_profile, load_profile
 from .errors import ModelViolation, ProgramError
@@ -105,13 +106,15 @@ def _parse_reg_option(text: str) -> tuple[str, list]:
     parsed = []
     for tok in values.split(","):
         tok = tok.strip()
-        try:
-            parsed.append(int(tok, 0))
-        except ValueError:
+        value = isa._parse_int_literal(tok)  # integers by the assembler's immediate rule
+        if value is None:
+            if isa._INT_RE.match(tok):  # shaped like an integer but not one, e.g. "08"
+                raise ProgramError(f"--reg {name}: malformed integer {tok!r}")
             try:
-                parsed.append(float(tok))
+                value = float(tok)
             except ValueError:
                 raise ProgramError(f"--reg {name}: not a number: {tok!r}") from None
+        parsed.append(value)
     if len(parsed) == 1:
         parsed = parsed * 32
     if len(parsed) != 32:

@@ -34,8 +34,8 @@ A run is a pure function of (program, launch, profile); equal inputs
 give bit-identical results.
 
 A run logs one tuple per instruction that moved a stack token
-(:attr:`RunResult.moves`); its event log, depth history and trace rows are
-views of it.  A traced run (``record_trace=True``) adds only a pc log (:class:`Trace`).
+(:attr:`RunResult.moves`, the run's depth history); its event log and
+trace rows are views of it.  A traced run (``record_trace=True``) adds only a pc log (:class:`Trace`).
 
 The live cycle counter implements the pop-attributed cost policy: each
 instruction executes, then advances it once by the profile's issue cost
@@ -306,7 +306,7 @@ class RunResult:
     """Counters, stack-move log, and final state of one completed run.
 
     ``moves`` holds ``(ordinal, events, token, active_before, active_after, depth,
-    cycle)`` per token move; ``event_log`` and ``depth_history`` are views of it.
+    cycle)`` per token move and is the run's depth history.
     """
 
     events: CostEvents
@@ -323,16 +323,12 @@ class RunResult:
 
     @property
     def event_log(self) -> tuple[EventRecord, ...]:
+        """``moves`` as one :class:`EventRecord` per stack event; the benchmark replays it."""
         return tuple(EventRecord(ordinal, event, None, None, depth, before, after)
                      if event >= _SPILL_STORE else
                      EventRecord(ordinal, event, token.mask, token.pc, depth, before, after)
                      for ordinal, events, token, before, after, depth, _ in self.moves
                      for event in events)
-
-    @property
-    def depth_history(self) -> tuple[tuple[int, int], ...]:
-        """``(ordinal, depth)`` after each move, after a starting ``(0, 0)``."""
-        return ((0, 0),) + tuple((move[0], move[5]) for move in self.moves)
 
     @property
     def sync_pushes(self) -> int:
@@ -372,33 +368,11 @@ _DIV_PUSH, _SYNC_POP, _DIV_POP, _SPILL_STORE = (
 _EVENT_NAMES = tuple(event.name for event in StackEvent)  # trace labels, by StackEvent
 
 
-def exec_predicated_branch(state: WarpState, target: int, predicate: int):
-    """Branch the active lanes whose predicate bit is set.
-
-    Returns ``(events, token)``: the stack's event tuple and the pushed
-    token, or ``((), None)``.  Only the partial case pushes a DIV token
-    parking the not-taken lanes at pc+1.
-    """
-    active = state.active_mask
-    taken = predicate & active
-    if taken == 0:
-        state.pc += 1
-        return _NO_EVENTS
-    if taken == active:
-        state.pc = target
-        return _NO_EVENTS
-    token = Token(active & ~taken & _MASK32, _DIV, state.pc + 1)
-    events = state.stack.push(token)
-    state.active_mask = taken
-    state.pc = target
-    return events, token
-
-
 def step(state: WarpState, program: Program):
     """Execute one instruction; returns (stack events, the token moved) or ((), None).
 
     Dispatch order mirrors the hardware model: SSY, then predicated
-    branches, then the pop-bit, then plain lane-wise execution.
+    branches, then EXIT, then the pop-bit, then plain lane-wise execution.
     """
     isa.validate_program(program)
     pc = state.pc
@@ -408,15 +382,39 @@ def step(state: WarpState, program: Program):
 
 
 def _exec_one(state: WarpState, ins: Instruction):
-    """Execute one instruction, then charge its issue and stack events to the clock."""
+    """Execute one instruction, then charge its issue and stack events to the clock.
+
+    All control flow is here; :func:`_exec_plain` runs the lane-wise opcodes.
+    """
     op = ins.opcode
     if op is _SSY:
         token = Token(state.active_mask, _SYNC, ins.target)
         events = state.stack.push(token)
         state.pc += 1
-    elif op is _BRA:  # a bare BRA reads PT
-        pred = PRED_PT if ins.pred is None else ins.pred
-        events, token = exec_predicated_branch(state, ins.target, state.preds[pred])
+    elif op is _BRA:  # a bare BRA reads PT; a partial branch parks the not-taken lanes at pc+1
+        active = state.active_mask
+        taken = state.preds[PRED_PT if ins.pred is None else ins.pred] & active
+        if taken == 0 or taken == active:
+            state.pc = ins.target if taken else state.pc + 1
+            state.cycle += state._issue_cost
+            return _NO_EVENTS
+        token = Token(active ^ taken, _DIV, state.pc + 1)
+        events = state.stack.push(token)
+        state.active_mask = taken
+        state.pc = ins.target
+    elif op is _EXIT:
+        if state.stack.depth != 0:
+            raise ModelViolation(
+                f"EXIT with {state.stack.depth} tokens still on the stack"
+            )
+        if state.active_mask != state.launch_mask:
+            raise ModelViolation(
+                f"EXIT with active mask {state.active_mask:#010x}, "
+                f"expected launch mask {state.launch_mask:#010x}"
+            )
+        state.halted = True
+        state.cycle += state._issue_cost
+        return _NO_EVENTS
     elif ins.pop_bit:
         token, events = state.stack.pop()
         state.active_mask = token.mask
@@ -424,8 +422,7 @@ def _exec_one(state: WarpState, ins: Instruction):
         _exec_plain(state, ins)
     else:
         _exec_plain(state, ins)
-        if op is not _EXIT:
-            state.pc += 1
+        state.pc += 1
         state.cycle += state._issue_cost
         return _NO_EVENTS
     cycles = state._issue_cost
@@ -436,7 +433,7 @@ def _exec_one(state: WarpState, ins: Instruction):
 
 
 def _exec_plain(state: WarpState, ins: Instruction) -> None:
-    """Lane-wise execution of non-control instructions under the active mask.
+    """Lane-wise execution of the non-control opcodes under the active mask.
 
     A ``reg|int`` operand is its immediate when its register field is None.
     """
@@ -527,18 +524,6 @@ def _exec_plain(state: WarpState, ins: Instruction) -> None:
             for t in lanes(active):
                 slots[t][slot] = source[t]
         return
-    elif op is _EXIT:
-        if state.stack.depth != 0:
-            raise ModelViolation(
-                f"EXIT with {state.stack.depth} tokens still on the stack"
-            )
-        if state.active_mask != state.launch_mask:
-            raise ModelViolation(
-                f"EXIT with active mask {state.active_mask:#010x}, "
-                f"expected launch mask {state.launch_mask:#010x}"
-            )
-        state.halted = True
-        return
     else:  # pragma: no cover - exhaustive over opcodes
         raise ModelViolation(f"cannot execute opcode {op.value}")
 
@@ -567,9 +552,9 @@ def run(program: Program, launch: Union[LaunchConfig, None] = None, *,
 
     Raises :class:`RunawayLoopError` once ``budget`` instructions have
     executed without reaching EXIT, and :class:`ModelViolation` for pops
-    from an empty stack, out-of-range program counters, or an EXIT that
-    leaves tokens on the stack.  With ``record_trace`` the result's
-    ``trace`` is a :class:`Trace` of the run; otherwise it is None.
+    from an empty stack or an EXIT that leaves tokens on the stack.  With
+    ``record_trace`` the result's ``trace`` is a :class:`Trace` of the run;
+    otherwise it is None.
     """
     isa.validate_program(program)
     if launch is None:
@@ -581,7 +566,6 @@ def run(program: Program, launch: Union[LaunchConfig, None] = None, *,
     executed = 0
     branches = 0
     instructions = program.instructions
-    length = len(instructions)
     stack = state.stack
     pcs: Union[list[int], None] = [] if record_trace else None
 
@@ -590,9 +574,7 @@ def run(program: Program, launch: Union[LaunchConfig, None] = None, *,
             raise RunawayLoopError(
                 f"no EXIT after {budget} instructions; raise the budget or fix the loop"
             )
-        pc = state.pc
-        if not 0 <= pc < length:
-            raise ModelViolation(f"program counter {pc} out of range")
+        pc = state.pc  # validate_program keeps every target, and so every pc, in range
         ins = instructions[pc]
         active_before = state.active_mask
         events, token = _exec_one(state, ins)

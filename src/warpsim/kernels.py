@@ -156,18 +156,6 @@ def kernel_program(kernel: Union[KernelId, str]) -> Program:
     return _parsed(KernelId(kernel))
 
 
-def single_loop_program() -> Program:
-    return kernel_program(KernelId.SINGLE_LOOP)
-
-
-def double_loop_program() -> Program:
-    return kernel_program(KernelId.DOUBLE_LOOP)
-
-
-def instrumented_single_loop_program() -> Program:
-    return kernel_program(KernelId.SINGLE_LOOP_INSTRUMENTED)
-
-
 def kernel_launch(kernel: Union[KernelId, str], bounds: Sequence[int],
                   profile: ArchProfile = KEPLER) -> LaunchConfig:
     """Launch configuration feeding per-lane bounds to a built-in kernel."""

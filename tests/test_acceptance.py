@@ -30,7 +30,7 @@ def best_of(callable_, repeats=5):
 
 def test_criterion_1_walk_through_golden():
     launch = ws.kernel_launch("single", ws.bound_pattern(2).bounds, ws.KEPLER)
-    program = ws.single_loop_program()
+    program = ws.kernel_program("single")
     result = checked_run(program, launch)
 
     log = [(r.kind, r.token_mask) for r in result.event_log]
@@ -45,7 +45,7 @@ def test_criterion_1_walk_through_golden():
     restored = [r.active_after for r in result.event_log
                 if r.kind in (StackEvent.DIV_POP, StackEvent.SYNC_POP)]
     assert restored == [0x40000000, 0x80000000, 0xFFFFFFFF]
-    assert [depth for _, depth in result.depth_history] == [0, 1, 2, 3, 2, 1, 0]
+    assert [0] + [move[5] for move in result.moves] == [0, 1, 2, 3, 2, 1, 0]
 
     runtime = best_of(lambda: ws.run(program, launch))
     assert runtime < 1e-3, f"n=2 run took {runtime * 1e3:.3f} ms"
@@ -117,7 +117,7 @@ def test_criterion_7_spill_round_trip_cost():
 
 def test_criterion_8_functional_oracle_1000_vectors():
     rng = random.Random(20260810)
-    program = ws.single_loop_program()
+    program = ws.kernel_program("single")
     start = time.perf_counter()
     for _ in range(1000):
         bounds = [rng.randint(0, 32) for _ in range(32)]
@@ -139,7 +139,7 @@ def test_criterion_9_stack_balance_invariant_suite(kepler_results):
         for result in kepler_results[kernel].values():
             ws.verify_result(result)  # balance, partition, restoration
             assert result.events.pushes == result.events.pops
-            assert result.depth_history[-1][1] == 0
+            assert result.moves[-1][5] == 0
             audited += 1
     rng = random.Random(7)
     for _ in range(25):
@@ -152,7 +152,7 @@ def test_criterion_9_stack_balance_invariant_suite(kepler_results):
 
 
 def test_criterion_10_instrumented_attribution():
-    program = ws.instrumented_single_loop_program()
+    program = ws.kernel_program("single-instrumented")
     reference_in_loop = None
     post_deltas = {}
     for n in range(16):

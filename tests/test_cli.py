@@ -8,7 +8,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from warpsim.cli import main
+from warpsim.cli import _parse_reg_option, main
 from warpsim.stack import DEPTH_LIMIT
 
 
@@ -401,3 +401,42 @@ def test_fuzzed_cli_input_ends_in_an_exit_code(tmp_path_factory, soup):
     if profile is not None:
         paths["PROFILE"].write_bytes(profile)
     assert main([str(paths.get(arg, arg)) for arg in argv]) in {0, 1, 2, 3}
+
+
+def test_exit_with_lanes_still_parked_exits_two(capsys, tmp_path):
+    source = tmp_path / "parked.sasm"
+    source.write_text("ISETP.LT P0, R1, 5\n@P0 BRA y\nBRA z\ny: NOP.S\nz: EXIT\n",
+                      encoding="utf-8")
+    lanes = ",".join(str(t) for t in range(32))
+    code, out, err = invoke(capsys, "run", "--program", str(source), "--reg", f"R1={lanes}")
+    assert code == 2 and out == ""
+    assert err == ("warpsim: model violation: EXIT with active mask 0xffffffe0, "
+                   "expected launch mask 0xffffffff\n")
+
+
+def test_reg_value_count_other_than_1_or_32_exits_one(capsys, tmp_path):
+    source = tmp_path / "prog.sasm"
+    source.write_text("MOV R2, R1\nEXIT\n", encoding="utf-8")
+    code, out, err = invoke(capsys, "run", "--program", str(source), "--reg", "R1=1,2")
+    assert code == 1 and out == ""
+    assert err == "warpsim: error: --reg R1: need 1 or 32 values, got 2\n"
+
+
+@pytest.mark.parametrize("value", ["08", "0b12"])
+def test_reg_integer_shaped_non_integer_exits_one(capsys, tmp_path, value):
+    source = tmp_path / "prog.sasm"
+    source.write_text("IADD R1, R5, 1\nEXIT\n", encoding="utf-8")
+    code, out, err = invoke(capsys, "run", "--program", str(source), "--reg", f"R5={value}")
+    assert code == 1 and out == ""
+    assert err == f"warpsim: error: --reg R5: malformed integer '{value}'\n"
+
+
+@pytest.mark.parametrize("token,value", [
+    ("0x10", 16), ("-3", -3), ("+5", 5), ("1.5", 1.5), ("inf", float("inf")),
+    ("1_000", 1000.0),
+])
+def test_reg_reads_integers_by_the_immediate_rule(token, value):
+    name, values = _parse_reg_option(f"R5={token}")
+    assert name == "R5"
+    assert values == [value] * 32
+    assert {type(v) for v in values} == {type(value)}

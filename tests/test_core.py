@@ -9,7 +9,7 @@ import pytest
 
 import warpsim as ws
 from warpsim import core
-from warpsim.core import WarpState, exec_predicated_branch, step, unpack_row
+from warpsim.core import WarpState, step, unpack_row
 from warpsim.errors import ModelViolation, ProgramError, RunawayLoopError
 from warpsim.stack import StackEvent, Token, TokenKind
 
@@ -23,6 +23,22 @@ SMALL_STACK = ws.ArchProfile("small-stack", div_cost=32, spill_store_cost=40,
 def fresh_state(source="NOP\nEXIT", **launch_kwargs):
     program = ws.parse_program(source)
     return WarpState(program, ws.LaunchConfig(**launch_kwargs)), program
+
+
+def branch_state(pc, target):
+    """A fresh state at ``pc`` of a program whose instruction ``pc`` is ``@P0 BRA`` to ``target``."""
+    lines = ["NOP"] * (pc + 2) + ["EXIT"]
+    lines[pc] = "@P0 BRA t"
+    lines[target] = "t: " + lines[target]
+    state, program = fresh_state("\n".join(lines))
+    state.pc = pc
+    return state, program
+
+
+def branch(state, program, predicate):
+    """Step the ``@P0 BRA`` at ``state.pc`` with P0 holding ``predicate``."""
+    state.preds[0] = predicate
+    return step(state, program)
 
 
 INACTIVE_FLOAT_IADD = """
@@ -71,53 +87,49 @@ join:   STSLOT [R2], R4     ; register form: slot t
 
 class TestPredicatedBranch:
     def test_none_taken_falls_through(self):
-        state, _ = fresh_state()
-        state.pc = 5
-        assert exec_predicated_branch(state, target=2, predicate=0) == ((), None)
+        state, program = branch_state(pc=5, target=2)
+        assert branch(state, program, predicate=0) == ((), None)
         assert state.pc == 6
         assert state.active_mask == FULL
         assert state.stack.depth == 0
 
     def test_all_taken_jumps_without_push(self):
-        state, _ = fresh_state()
-        state.pc = 5
-        assert exec_predicated_branch(state, target=2, predicate=FULL) == ((), None)
+        state, program = branch_state(pc=5, target=2)
+        assert branch(state, program, predicate=FULL) == ((), None)
         assert state.pc == 2
         assert state.active_mask == FULL
         assert state.stack.depth == 0
 
     def test_partial_pushes_not_taken_lanes(self):
-        state, _ = fresh_state()
-        state.pc = 9
-        events, token = exec_predicated_branch(state, target=2, predicate=0x7FFFFFFF)
+        state, program = branch_state(pc=9, target=2)
+        events, token = branch(state, program, predicate=0x7FFFFFFF)
         assert events == (StackEvent.DIV_PUSH,)
         assert token == Token(0x80000000, TokenKind.DIV, 10)
         assert state.active_mask == 0x7FFFFFFF
         assert state.pc == 2
 
     def test_partial_with_masked_warp(self):
-        state, _ = fresh_state()
+        state, program = branch_state(pc=9, target=2)
         state.active_mask = 0x7FFFFFFF
-        state.pc = 9
-        events, token = exec_predicated_branch(state, target=2, predicate=0x3FFFFFFF)
+        events, token = branch(state, program, predicate=0x3FFFFFFF)
         assert events == (StackEvent.DIV_PUSH,)
         assert token.mask == 0x40000000
         assert state.active_mask == 0x3FFFFFFF
 
     def test_predicate_restricted_to_active_lanes(self):
-        state, _ = fresh_state()
+        state, program = branch_state(pc=0, target=1)
         state.active_mask = 0x0000FFFF
         # every *active* lane takes it: uniform
-        assert exec_predicated_branch(state, target=1, predicate=FULL) == ((), None)
+        assert branch(state, program, predicate=FULL) == ((), None)
         assert state.active_mask == 0x0000FFFF
 
     def test_mask_partition_property(self):
         # pushed mask and surviving mask partition the incoming mask
-        state, _ = fresh_state()
+        state, program = branch_state(pc=0, target=1)
         for active, pred in [(FULL, 0x13579BDF), (0xFF00FF00, 0x0F0F0F0F), (0x3, 0x1)]:
             state.active_mask = active
             state.pc = 0
-            events, token = exec_predicated_branch(state, 1, pred)
+            events, token = branch(state, program, pred)
             taken = pred & active
             if 0 < taken < active:
                 assert events == (StackEvent.DIV_PUSH,)
@@ -171,6 +183,23 @@ class TestStep:
             assert (token.kind, token.pc) == (kind, pc)
         assert events == (StackEvent.SPILL_LOAD, StackEvent.SYNC_POP)
         assert (state.stack.onchip_count, state.stack.spilled_count) == (1, 0)
+
+    def test_isetp_on_a_float_row_compares_active_lanes_only(self):
+        state, program = fresh_state(
+            "FADD32I R1, RZ, 2.5\nISETP.LT P0, R1, 3\nISETP.LT P1, R2, R1\nEXIT",
+            registers={"R2": [t / 2 for t in range(32)]})  # lane 5 holds 2.5 too
+        active, old = 0x00FF00F3, 0x5A5A5A5A
+        state.active_mask = active
+        state.preds[0] = state.preds[1] = old
+        for _ in range(3):
+            step(state, program)
+        r1 = unpack_row(state.regs[1])
+        assert type(state.regs[1]) is list  # the list form of a row
+        assert r1 == [2.5 if active >> t & 1 else 0 for t in range(32)]
+        for pred, less in [(0, lambda t: r1[t] < 3), (1, lambda t: t / 2 < r1[t])]:
+            lt = sum(1 << t for t in range(32) if active >> t & 1 and less(t))
+            assert state.preds[pred] == (old & ~active & FULL) | lt
+        assert state.preds[0] & active == active and state.preds[1] & active == 0b10011
 
     def test_pop_on_empty_stack_raises(self):
         state, program = fresh_state("NOP.S\nEXIT")
@@ -384,7 +413,7 @@ class TestRun:
         assert result.cycles == state.cycle == 15
 
     def test_spill_records_carry_no_token(self):
-        result = checked_run(ws.single_loop_program(),
+        result = checked_run(ws.kernel_program("single"),
                              ws.kernel_launch("single", ws.bound_pattern(9).bounds, SMALL_STACK))
         assert result.spill_stores == result.spill_loads == 3
         spills = [r for r in result.event_log if r.kind >= StackEvent.SPILL_STORE]
@@ -409,12 +438,12 @@ class TestRun:
         assert result.executed_instructions == 5
         assert result.executed_branches == 1
         assert result.events.sync_pushes == 1 and result.events.sync_pops == 1
-        assert result.depth_history == ((0, 0), (1, 1), (4, 0))
+        assert ((0, 0),) + tuple((m[0], m[5]) for m in result.moves) == ((0, 0), (1, 1), (4, 0))
 
     def test_determinism_bit_identical(self):
         launch = ws.kernel_launch("double", ws.bound_pattern(9).bounds)
-        first = ws.run(ws.double_loop_program(), launch)
-        second = ws.run(ws.double_loop_program(), launch)
+        first = ws.run(ws.kernel_program("double"), launch)
+        second = ws.run(ws.kernel_program("double"), launch)
         assert first == second
 
     def test_launch_validation(self):
@@ -472,13 +501,13 @@ class TestRun:
 
 class TestVerifyResult:
     def test_accepts_good_runs(self):
-        checked_run(ws.single_loop_program(),
+        checked_run(ws.kernel_program("single"),
                     ws.kernel_launch("single", ws.bound_pattern(17).bounds))
 
     def test_rejects_tampered_results(self):
         import dataclasses
 
-        result = ws.run(ws.single_loop_program(),
+        result = ws.run(ws.kernel_program("single"),
                         ws.kernel_launch("single", ws.bound_pattern(3).bounds))
         bad = dataclasses.replace(result, max_depth=result.max_depth + 1)
         with pytest.raises(ModelViolation):
@@ -490,6 +519,11 @@ class TestVerifyResult:
             result, events=dataclasses.replace(result.events, spill_stores=1))
         with pytest.raises(ModelViolation):
             ws.verify_result(bad)
+        bad = dataclasses.replace(result, events=dataclasses.replace(
+            result.events, sync_pushes=result.events.sync_pushes + 1))
+        with pytest.raises(ModelViolation) as err:
+            ws.verify_result(bad)
+        assert str(err.value) == "push/pop imbalance: 5 != 4"
 
 
     @pytest.mark.parametrize("message,tamper", [
@@ -517,7 +551,7 @@ class TestVerifyResult:
     def test_rejects_a_tampered_move_log(self, message, tamper):
         import dataclasses
 
-        result = ws.verify_result(ws.run(ws.single_loop_program(),
+        result = ws.verify_result(ws.run(ws.kernel_program("single"),
                                          ws.kernel_launch("single", ws.bound_pattern(3).bounds)))
         bad = dataclasses.replace(result, moves=tamper(result.moves))
         assert bad.moves != result.moves

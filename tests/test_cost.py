@@ -37,13 +37,13 @@ def test_charge_examples():
 
 def test_predicted_cycles_examples():
     kep = ws.KEPLER
-    r10 = checked_run(ws.single_loop_program(),
+    r10 = checked_run(ws.kernel_program("single"),
                       ws.kernel_launch("single", ws.bound_pattern(10).bounds, kep))
     assert ws.make_row("single", kep, 10, r10).predicted_cycles == 1732 + 320 == 2052
-    r0 = checked_run(ws.single_loop_program(),
+    r0 = checked_run(ws.kernel_program("single"),
                      ws.kernel_launch("single", ws.bound_pattern(0).bounds, kep))
     assert ws.make_row(ws.KernelId.SINGLE_LOOP, kep, 0, r0).predicted_cycles == 1732
-    d5 = checked_run(ws.double_loop_program(),
+    d5 = checked_run(ws.kernel_program("double"),
                      ws.kernel_launch("double", ws.bound_pattern(5).bounds, kep))
     assert ws.make_row("double", kep, 5, d5).predicted_cycles == 57024 + 16 * 5 * 60 == 61824
 
@@ -52,7 +52,7 @@ def test_without_spilling_disables_spills():
     quiet = ws.KEPLER.without_spilling()
     assert quiet.phys_capacity is None
     assert quiet.div_cost == ws.KEPLER.div_cost
-    r = checked_run(ws.single_loop_program(),
+    r = checked_run(ws.kernel_program("single"),
                     ws.kernel_launch("single", ws.bound_pattern(31).bounds, quiet))
     assert r.spill_stores == 0 == r.spill_loads
 

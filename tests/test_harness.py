@@ -145,6 +145,21 @@ class TestCompare:
                    for check in report.checks)
         assert "FAIL" in ws.format_compare_report(report)
 
+    @pytest.mark.parametrize("field,n,line", [
+        ("total_pushes", 3, "check push_counts: FAIL (n=3: got 5, expected 4)"),
+        ("max_depth", 3, "check max_depths: FAIL (n=3: got 5, expected 4)"),
+        ("spill_stores", 20, "check spill_counts: FAIL (n=20: got 3, expected 2)"),
+        ("extra_branches", 20,
+         "check extra_branches_equal_spills: FAIL (n=20: got 3, expected 2)"),
+    ])
+    def test_each_row_check_fails_on_one_tampered_field(self, kepler_sweeps, field, n, line):
+        rows = list(kepler_sweeps["single"])
+        rows[n] = dataclasses.replace(rows[n], **{field: getattr(rows[n], field) + 1})
+        report = ws.compare(rows, ws.OracleSet.for_profile("single", ws.KEPLER))
+        text = ws.format_compare_report(report)
+        assert line in text.splitlines()
+        assert text.endswith("overall: FAIL\n")
+
     def test_mismatched_rows_and_oracles(self, kepler_sweeps):
         with pytest.raises(ProgramError, match="does not match"):
             ws.compare(kepler_sweeps["single"],
@@ -179,7 +194,7 @@ class TestSerialization:
             ws.write_sweep(kepler_sweeps["single"], sink, fmt="xml")
 
     def test_make_row_without_base_uses_overhead(self):
-        result = checked_run(ws.single_loop_program(),
+        result = checked_run(ws.kernel_program("single"),
                              ws.kernel_launch("single", ws.bound_pattern(4).bounds))
         row = make_row("single", ws.MAXWELL, 4, result)
         assert row.predicted_cycles == 4 * 26
@@ -220,10 +235,15 @@ class TestTraces:
         return [record.depth for record in result.trace]
 
     def test_requires_traced_run(self):
-        result = checked_run(ws.single_loop_program(),
+        result = checked_run(ws.kernel_program("single"),
                              ws.kernel_launch("single", ws.bound_pattern(0).bounds))
         with pytest.raises(ProgramError, match="record_trace"):
             ws.emit_trace(result, io.StringIO())
+
+    def test_unknown_trace_format(self):
+        with pytest.raises(ProgramError) as err:
+            ws.emit_trace(self.trace_run("single", 0), io.StringIO(), fmt="xml")
+        assert str(err.value) == "unknown trace format 'xml'"
 
     def test_jsonl_records(self):
         result = self.trace_run("single", 2)

@@ -100,6 +100,7 @@ def test_unconditional_and_numeric_target():
     ("EXIT\nFROB\nEXIT", 2, "unknown mnemonic 'FROB'"),
     ("EXIT\nNOP", 2, "program must contain exactly one EXIT, as the final instruction"),
     ("; nothing here\n", 1, "empty program"),
+    (".foo 1\nEXIT", 1, "unknown directive '.foo'"),
 ])
 def test_parse_errors_name_the_line(source, line, message):
     with pytest.raises(AsmError) as err:
@@ -165,11 +166,9 @@ def test_float_immediate_rounded_to_float32():
     assert prog.instructions[0].imm == ws.f32(0.1)
 
 
-@pytest.mark.parametrize("builder", [
-    ws.single_loop_program, ws.double_loop_program, ws.instrumented_single_loop_program,
-])
-def test_round_trip_on_kernels(builder):
-    prog = builder()
+@pytest.mark.parametrize("kernel", ["single", "double", "single-instrumented"])
+def test_round_trip_on_kernels(kernel):
+    prog = ws.kernel_program(kernel)
     text = ws.format_program(prog)
     reparsed = ws.parse_program(text)
     assert reparsed == prog
@@ -274,6 +273,31 @@ def test_validate_rejects_malformed_instructions():
     for ins in cases:
         with pytest.raises(ProgramError):
             isa.validate_program(program_of(ins))
+
+
+@pytest.mark.parametrize("ins,message", [
+    (isa.Instruction(ws.Opcode.BRA, target=0, pred=7),
+     "instruction 0 (BRA): predicate 7 outside file"),
+    (isa.Instruction(ws.Opcode.MOV, dst=0, imm=1.5),
+     "instruction 0 (MOV): immediate 1.5 must be an integer"),
+    (isa.Instruction(ws.Opcode.IADD, src_a=0, imm=1), "instruction 0 (IADD): missing dst"),
+    (isa.Instruction(ws.Opcode.MOV, dst=16, imm=1),
+     "instruction 0 (MOV): dst=16 outside register file of 16"),
+    (isa.Instruction(ws.Opcode.ISETP_LT, pdst=7, src_a=0, imm=1),
+     "instruction 0 (ISETP.LT): pdst=7 outside predicate file"),
+    (isa.Instruction(ws.Opcode.FADD_IMM, dst=0, src_a=0, imm=1),
+     "instruction 0 (FADD32I): needs a float immediate"),
+], ids=["pred", "int-imm", "missing-reg", "reg-range", "pred-operand", "f32-imm"])
+def test_validate_names_the_fault_of_a_hand_built_instruction(ins, message):
+    with pytest.raises(ProgramError) as err:
+        isa.validate_program(isa.Program((ins, isa.Instruction(ws.Opcode.EXIT))))
+    assert str(err.value) == message
+
+
+def test_validate_rejects_an_empty_program():
+    with pytest.raises(ProgramError) as err:
+        isa.validate_program(isa.Program(()))
+    assert str(err.value) == "program has no instructions"
 
 
 def test_register_and_predicate_names():

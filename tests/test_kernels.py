@@ -43,14 +43,14 @@ class TestBoundPattern:
 
 class TestSingleLoop:
     def test_structure_in_dump(self):
-        text = ws.format_program(ws.single_loop_program())
+        text = ws.format_program(ws.kernel_program("single"))
         assert "SSY " in text
         assert "@P0 BRA " in text
         assert "NOP.S" in text
         assert text.index("SSY") < text.index("@P0 BRA")
 
     def test_walk_through_n2_token_sequence(self):
-        result = checked_run(ws.single_loop_program(),
+        result = checked_run(ws.kernel_program("single"),
                              ws.kernel_launch("single", ws.bound_pattern(2).bounds))
         log = [(r.kind, r.token_mask, r.active_after) for r in result.event_log]
         assert log == [
@@ -61,14 +61,14 @@ class TestSingleLoop:
             (StackEvent.DIV_POP, 0x80000000, 0x80000000),
             (StackEvent.SYNC_POP, 0xFFFFFFFF, 0xFFFFFFFF),
         ]
-        assert [d for _, d in result.depth_history] == [0, 1, 2, 3, 2, 1, 0]
+        assert [0] + [move[5] for move in result.moves] == [0, 1, 2, 3, 2, 1, 0]
         # both DIV tokens park their lanes at the pop-bit NOP
-        unwind_pc = ws.single_loop_program().labels["unwind"]
+        unwind_pc = ws.kernel_program("single").labels["unwind"]
         assert all(r.token_pc == unwind_pc for r in result.event_log
                    if r.kind is StackEvent.DIV_PUSH)
 
     def test_uniform_bounds_never_diverge(self):
-        result = checked_run(ws.single_loop_program(),
+        result = checked_run(ws.kernel_program("single"),
                              ws.kernel_launch("single", ws.bound_pattern(0).bounds))
         assert result.div_pushes == 0
         assert result.sync_pushes == 1 and result.pops == 1
@@ -77,7 +77,7 @@ class TestSingleLoop:
 
     @pytest.mark.parametrize("n", [0, 7, 31])
     def test_div_push_count_is_n(self, n):
-        result = checked_run(ws.single_loop_program(),
+        result = checked_run(ws.kernel_program("single"),
                              ws.kernel_launch("single", ws.bound_pattern(n).bounds))
         assert result.div_pushes == n
         assert result.events.pushes == n + 1
@@ -86,7 +86,7 @@ class TestSingleLoop:
     @pytest.mark.parametrize("n", [0, 2, 16, 31])
     def test_lane_results_match_scalar_oracle(self, n):
         bounds = ws.bound_pattern(n).bounds
-        result = checked_run(ws.single_loop_program(),
+        result = checked_run(ws.kernel_program("single"),
                              ws.kernel_launch("single", bounds))
         counts = result.register("R4")
         accs = result.register("R0")
@@ -99,47 +99,47 @@ class TestSingleLoop:
         # Values computed with an independent numpy float32 scalar loop:
         # 32 adds of 1.3332999944686889648 and, for the nested kernel,
         # 32 x (32 inner adds + one outer add of 2.3333001136779785156).
-        single = checked_run(ws.single_loop_program(),
+        single = checked_run(ws.kernel_program("single"),
                              ws.kernel_launch("single", ws.bound_pattern(0).bounds))
         assert single.register("R0") == (42.66560745239258,) * 32
-        double = checked_run(ws.double_loop_program(),
+        double = checked_run(ws.kernel_program("double"),
                              ws.kernel_launch("double", ws.bound_pattern(0).bounds))
         assert double.register("R0") == (1439.9571533203125,) * 32
 
     def test_unwind_instruction_executes_once_per_pop(self):
         # one execution per DIV pop plus the final SYNC pop
         for n in (0, 1, 5):
-            result = checked_run(ws.single_loop_program(),
+            result = checked_run(ws.kernel_program("single"),
                                  ws.kernel_launch("single", ws.bound_pattern(n).bounds),
                                  record_trace=True)
-            unwind_pc = ws.single_loop_program().labels["unwind"]
+            unwind_pc = ws.kernel_program("single").labels["unwind"]
             executions = sum(1 for r in result.trace if r.pc == unwind_pc)
             assert executions == n + 1
 
 
 class TestDoubleLoop:
     def test_push_total_at_zero_is_thirty_three(self):
-        result = checked_run(ws.double_loop_program(),
+        result = checked_run(ws.kernel_program("double"),
                              ws.kernel_launch("double", ws.bound_pattern(0).bounds))
         assert result.events.pushes == 33
         assert result.div_pushes == 0
         assert result.sync_pushes == 33  # one outer SSY, 32 inner re-arms
 
     def test_push_total_at_thirty_one(self):
-        result = checked_run(ws.double_loop_program(),
+        result = checked_run(ws.kernel_program("double"),
                              ws.kernel_launch("double", ws.bound_pattern(31).bounds))
         assert result.events.pushes == 31 * 34 // 2 + 33 == 560
 
     @pytest.mark.parametrize("n", [1, 15, 31])
     def test_max_depth_is_n_plus_two(self, n):
-        result = checked_run(ws.double_loop_program(),
+        result = checked_run(ws.kernel_program("double"),
                              ws.kernel_launch("double", ws.bound_pattern(n).bounds))
         assert result.max_depth == n + 2
 
     @pytest.mark.parametrize("n", [0, 3, 31])
     def test_lane_results_match_scalar_oracle(self, n):
         bounds = ws.bound_pattern(n).bounds
-        result = checked_run(ws.double_loop_program(),
+        result = checked_run(ws.kernel_program("double"),
                              ws.kernel_launch("double", bounds))
         outer_counts = result.register("R6")
         accs = result.register("R0")
@@ -164,7 +164,7 @@ class TestDoubleLoop:
             survivors = [b for b in active if b >= j + 1]
             if survivors and len(survivors) != len(active):
                 outer_divs += 1
-        program = ws.double_loop_program()
+        program = ws.kernel_program("double")
         result = checked_run(program,
                              ws.kernel_launch("double", bounds),
                              record_trace=True)
@@ -175,14 +175,14 @@ class TestDoubleLoop:
         assert result.div_pushes == inner_divs + outer_divs
 
     def test_inner_sync_never_outlives_its_outer_iteration(self):
-        program = ws.double_loop_program()
+        program = ws.kernel_program("double")
         inner_ssy = next(i for i, ins in enumerate(program.instructions)
                          if ins.opcode is ws.Opcode.SSY and i != 3)
         outer_bra = next(i for i, ins in enumerate(program.instructions)
                          if ins.opcode is ws.Opcode.BRA
                          and ins.target == program.labels["outer_body"])
         inner_unwind = program.labels["inner_unwind"]
-        result = checked_run(ws.double_loop_program(),
+        result = checked_run(ws.kernel_program("double"),
                              ws.kernel_launch("double", ws.bound_pattern(6).bounds),
                              record_trace=True)
         alive = 0
@@ -201,7 +201,7 @@ class TestInstrumentedLoop:
         for n in (0, 4, 15):
             bounds = ws.bound_pattern(n).bounds
             result = checked_run(
-                ws.instrumented_single_loop_program(),
+                ws.kernel_program("single-instrumented"),
                 ws.kernel_launch("single-instrumented", bounds))
             for t in range(32):
                 slots = result.slots[t]
@@ -212,15 +212,15 @@ class TestInstrumentedLoop:
 
     def test_counters_match_plain_single_loop_at_n0(self):
         bounds = ws.bound_pattern(0).bounds
-        plain = checked_run(ws.single_loop_program(),
+        plain = checked_run(ws.kernel_program("single"),
                             ws.kernel_launch("single", bounds))
-        instrumented = checked_run(ws.instrumented_single_loop_program(),
+        instrumented = checked_run(ws.kernel_program("single-instrumented"),
                                    ws.kernel_launch("single-instrumented", bounds))
         assert plain.events == instrumented.events
         assert plain.max_depth == instrumented.max_depth
 
     def test_timestamps_increase_along_each_lane(self):
-        result = checked_run(ws.instrumented_single_loop_program(),
+        result = checked_run(ws.kernel_program("single-instrumented"),
                              ws.kernel_launch("single-instrumented",
                                               ws.bound_pattern(9).bounds))
         for t in range(32):
@@ -236,7 +236,7 @@ class TestInstrumentedLoop:
         # The attribution law is profile-generic: each extra divergent
         # lane adds one DIV pop, charged div_cost, after the last
         # in-loop timestamp of lane 0 and before the trailing one.
-        program = ws.instrumented_single_loop_program()
+        program = ws.kernel_program("single-instrumented")
         deltas = {}
         for n in (0, 1, 8, 15):
             launch = ws.kernel_launch("single-instrumented",
@@ -254,20 +254,18 @@ def test_kernel_launch_plumbing():
         ws.kernel_launch("single", [1, 2, 3])
     with pytest.raises(ValueError):
         ws.kernel_program("octuple")
-    assert ws.kernel_program(ws.KernelId.SINGLE_LOOP) is ws.single_loop_program()
+    assert ws.kernel_program(ws.KernelId.SINGLE_LOOP) is ws.kernel_program("single")
 
 
-@pytest.mark.parametrize("kernel,named,labels", [
-    ("single", ws.single_loop_program, {"body": 8, "unwind": 12, "join": 13}),
-    ("double", ws.double_loop_program,
-     {"outer_body": 6, "inner_body": 10, "inner_unwind": 14, "outer_step": 15,
-      "outer_unwind": 19, "join": 20}),
-    ("single-instrumented", ws.instrumented_single_loop_program,
-     {"body": 6, "unwind": 12, "join": 13}),
+@pytest.mark.parametrize("kernel,labels", [
+    ("single", {"body": 8, "unwind": 12, "join": 13}),
+    ("double", {"outer_body": 6, "inner_body": 10, "inner_unwind": 14, "outer_step": 15,
+                "outer_unwind": 19, "join": 20}),
+    ("single-instrumented", {"body": 6, "unwind": 12, "join": 13}),
 ])
-def test_each_kernel_is_parsed_once(kernel, named, labels):
+def test_each_kernel_is_parsed_once(kernel, labels):
     program = ws.kernel_program(kernel)
     assert ws.kernel_program(ws.KernelId(kernel)) is program
-    assert named() is program
+    assert ws.kernel_program(kernel) is program
     assert dict(program.labels) == labels
     assert ws.parse_program(ws.format_program(program)) == program

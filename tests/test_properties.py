@@ -3,7 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 import warpsim as ws
-from warpsim.core import WarpState, exec_predicated_branch
+from warpsim.core import WarpState, step
 from warpsim.stack import StackEvent
 
 from conftest import (checked_run, double_oracle, loop_stack_sequence, replay_overlay,
@@ -16,7 +16,7 @@ bounds_vectors = st.lists(st.integers(min_value=0, max_value=32),
 @given(bounds_vectors)
 @settings(max_examples=60, deadline=None)
 def test_single_loop_matches_scalar_oracle(bounds):
-    result = checked_run(ws.single_loop_program(),
+    result = checked_run(ws.kernel_program("single"),
                          ws.kernel_launch("single", bounds))
     counts = result.register("R4")
     accs = result.register("R0")
@@ -29,7 +29,7 @@ def test_single_loop_matches_scalar_oracle(bounds):
 @given(bounds_vectors)
 @settings(max_examples=25, deadline=None)
 def test_double_loop_matches_scalar_oracle(bounds):
-    result = checked_run(ws.double_loop_program(),
+    result = checked_run(ws.kernel_program("double"),
                          ws.kernel_launch("double", bounds))
     outers = result.register("R6")
     accs = result.register("R0")
@@ -43,18 +43,20 @@ def test_double_loop_matches_scalar_oracle(bounds):
 @settings(max_examples=25, deadline=None)
 def test_runs_are_deterministic(bounds):
     launch = ws.kernel_launch("single", bounds)
-    assert ws.run(ws.single_loop_program(), launch) == \
-        ws.run(ws.single_loop_program(), launch)
+    assert ws.run(ws.kernel_program("single"), launch) == \
+        ws.run(ws.kernel_program("single"), launch)
 
 
 @given(active=st.integers(min_value=1, max_value=0xFFFFFFFF),
        predicate=st.integers(min_value=0, max_value=0xFFFFFFFF))
 @settings(max_examples=200, deadline=None)
 def test_divergence_partitions_the_active_mask(active, predicate):
-    state = WarpState(ws.parse_program("NOP\nEXIT"), ws.LaunchConfig())
+    program = ws.parse_program("@P0 BRA t\nt: NOP\nEXIT")
+    state = WarpState(program, ws.LaunchConfig())
     state.active_mask = active
     state.pc = 0
-    events, token = exec_predicated_branch(state, target=1, predicate=predicate)
+    state.preds[0] = predicate
+    events, token = step(state, program)
     taken = predicate & active
     if taken == 0:
         assert (events, token) == ((), None) and state.pc == 1 and state.active_mask == active
@@ -122,7 +124,7 @@ def test_stack_dynamics_match_structural_replay(bounds, chunk, headroom, kernel)
 @given(bounds=bounds_vectors)
 @settings(max_examples=20, deadline=None)
 def test_sync_pops_restore_the_mask_recorded_by_ssy(bounds):
-    result = checked_run(ws.double_loop_program(),
+    result = checked_run(ws.kernel_program("double"),
                          ws.kernel_launch("double", bounds))
     pending = []
     for record in result.event_log:
