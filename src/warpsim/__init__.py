@@ -10,7 +10,7 @@ from .harness import (CSV_HEADER, CompareCheck, CompareReport, OracleSet, SweepR
                       expected_spill_count, fit_curve, format_compare_report, make_row,
                       run_kernel, sweep, write_sweep)
 from .isa import (Instruction, Opcode, Program, f32, format_instruction, format_program,
-                  parse_program, validate_program)
+                  parse_program)
 from .kernels import (BODY_STEP, BOUND_REGISTERS, FINAL_TIMESTAMP_SLOT, OUTER_STEP,
                       BoundPattern, KernelId, bound_pattern, kernel_launch, kernel_program)
 from .stack import StackEvent, SyncStack, Token, TokenKind
@@ -29,5 +29,5 @@ __all__ = [
     "f32", "fit_curve", "format_compare_report", "format_instruction", "format_program",
     "get_profile", "kernel_launch", "kernel_program", "load_profile", "make_row",
     "parse_profile", "parse_program", "run", "run_kernel", "step", "sweep",
-    "validate_program", "verify_result", "write_sweep",
+    "verify_result", "write_sweep",
 ]

@@ -145,7 +145,7 @@ def _sink(path):
 
 
 def _run_from_args(args, profile, record_trace=False):
-    """Returns (label, n-or-None, result) for either input mode."""
+    """Returns (label, n-or-None, audited result) for either input mode."""
     if args.kernel:
         if args.reg:
             raise ProgramError("--reg applies only to --program runs; "
@@ -154,7 +154,7 @@ def _run_from_args(args, profile, record_trace=False):
             raise ProgramError("--n is required with --kernel")
         result = run_kernel(args.kernel, args.n, profile, budget=args.budget,
                             record_trace=record_trace)
-        return args.kernel, args.n, result
+        return args.kernel, args.n, verify_result(result)
     if args.n is not None:
         raise ProgramError("--n applies only to --kernel runs")
     program = parse_program(read_text(args.program))
@@ -165,13 +165,12 @@ def _run_from_args(args, profile, record_trace=False):
         registers[name] = values
     launch = LaunchConfig(registers=registers, profile=profile)
     result = run(program, launch, budget=args.budget, record_trace=record_trace)
-    return args.program, None, result
+    return args.program, None, verify_result(result)
 
 
 def cmd_run(args) -> int:
     profile = _profile_from(args)
     label, n, result = _run_from_args(args, profile)
-    verify_result(result)
     lines = [
         f"kernel: {label}",
         f"arch: {profile.name}",

@@ -193,7 +193,7 @@ def _launch_row(name: str, values: Sequence) -> Union[int, list]:
         if type(value) is int and not isa.INT32_MIN <= value <= isa.INT32_MAX:
             raise ProgramError(f"launch register {name} holds {value}, "
                                "outside the 32-bit signed range")
-    return _row(row)
+    return row
 
 
 def _launch_value(name: str, value) -> Union[int, float]:
@@ -267,7 +267,7 @@ class Trace(Sequence):
         issue = self.issue_cost
         mask, depth, cycle, done = self.launch_mask, 0, 0, 0
         names: dict = {}
-        for ordinal, events, _, _, mask_after, depth_after, cycle_after in self.moves:
+        for ordinal, events, _, mask_after, depth_after, cycle_after in self.moves:
             if ordinal - 1 > done:
                 yield (islice(pcs, ordinal - 1 - done), (mask, depth, ()),
                        count(done + 1), count(cycle + issue, issue))
@@ -305,8 +305,9 @@ class Trace(Sequence):
 class RunResult:
     """Counters, stack-move log, and final state of one completed run.
 
-    ``moves`` holds ``(ordinal, events, token, active_before, active_after, depth,
-    cycle)`` per token move and is the run's depth history.
+    ``moves`` holds ``(ordinal, events, token, active_after, depth, cycle)``
+    per token move and is the run's depth history; only a move changes the
+    mask, so the mask before it is the previous ``active_after`` (or launch).
     """
 
     events: CostEvents
@@ -324,11 +325,12 @@ class RunResult:
     @property
     def event_log(self) -> tuple[EventRecord, ...]:
         """``moves`` as one :class:`EventRecord` per stack event; the benchmark replays it."""
+        befores = (self.launch_mask, *(move[3] for move in self.moves))
         return tuple(EventRecord(ordinal, event, None, None, depth, before, after)
                      if event >= _SPILL_STORE else
                      EventRecord(ordinal, event, token.mask, token.pc, depth, before, after)
-                     for ordinal, events, token, before, after, depth, _ in self.moves
-                     for event in events)
+                     for (ordinal, events, token, after, depth, _), before
+                     in zip(self.moves, befores) for event in events)
 
     @property
     def sync_pushes(self) -> int:
@@ -374,7 +376,6 @@ def step(state: WarpState, program: Program):
     Dispatch order mirrors the hardware model: SSY, then predicated
     branches, then EXIT, then the pop-bit, then plain lane-wise execution.
     """
-    isa.validate_program(program)
     pc = state.pc
     if not 0 <= pc < len(program.instructions):
         raise ModelViolation(f"program counter {pc} out of range")
@@ -556,7 +557,6 @@ def run(program: Program, launch: Union[LaunchConfig, None] = None, *,
     ``record_trace`` the result's ``trace`` is a :class:`Trace` of the run;
     otherwise it is None.
     """
-    isa.validate_program(program)
     if launch is None:
         launch = LaunchConfig()
     state = WarpState(program, launch)
@@ -574,9 +574,8 @@ def run(program: Program, launch: Union[LaunchConfig, None] = None, *,
             raise RunawayLoopError(
                 f"no EXIT after {budget} instructions; raise the budget or fix the loop"
             )
-        pc = state.pc  # validate_program keeps every target, and so every pc, in range
+        pc = state.pc  # a Program keeps every target, and so every pc, in range
         ins = instructions[pc]
-        active_before = state.active_mask
         events, token = _exec_one(state, ins)
         executed += 1
         if ins.opcode is _BRA:
@@ -585,8 +584,8 @@ def run(program: Program, launch: Union[LaunchConfig, None] = None, *,
         if events:  # exactly one push or pop: the depth moves by one
             for event in events:
                 counts[event] += 1
-            moves.append((executed, events, token, active_before, state.active_mask,
-                          stack.depth, state.cycle))
+            moves.append((executed, events, token, state.active_mask, stack.depth,
+                          state.cycle))
         if record_trace:
             pcs.append(pc)
 
@@ -596,7 +595,7 @@ def run(program: Program, launch: Union[LaunchConfig, None] = None, *,
         executed_instructions=executed,
         executed_branches=branches,
         cycles=state.cycle,
-        max_depth=max((move[5] for move in moves), default=0),
+        max_depth=max((move[4] for move in moves), default=0),
         registers=tuple(_ZEROS if reg == 0 else tuple(unpack_row(reg))
                         for reg in state.regs[:-1]),
         slots=tuple(dict(s) for s in state.slots),
@@ -628,7 +627,8 @@ def verify_result(result: RunResult) -> RunResult:
         raise ModelViolation("run ended without full re-convergence")
 
     depth = peak = 0
-    for _, moved, token, before, after, cur, _ in result.moves:
+    before = result.launch_mask
+    for _, moved, token, after, cur, _ in result.moves:
         if cur != depth + 1 and cur != depth - 1:
             raise ModelViolation(f"depth history jumps from {depth} to {cur}")
         depth = cur
@@ -645,6 +645,7 @@ def verify_result(result: RunResult) -> RunResult:
             elif kind is _SYNC_POP or kind is _DIV_POP:
                 if after != token.mask:
                     raise ModelViolation("pop did not restore the token mask")
+        before = after
     if depth != 0:
         raise ModelViolation("depth history must start and end at depth 0")
     # A +-1 walk from depth 0 back to 0 has as many ups as downs, and pushes == pops.

@@ -36,7 +36,7 @@ Text format (UTF-8), one statement per line::
   ``.registers N`` and ``.predicates K`` (defaults 16 and 7, each in
   ``1..MAX_FILE_SIZE``).
 
-``parse_program`` and ``format_program`` round-trip: formatting a valid
+``parse_program`` and ``format_program`` round-trip: formatting a
 program and re-parsing it yields a structurally equal program (label
 *names* are not part of structural equality).
 """
@@ -158,6 +158,8 @@ SPECS: Mapping[Opcode, OpSpec] = {
 class Program:
     """An immutable instruction sequence with resolved branch targets.
 
+    Every Program is valid: construction checks each instruction, then a
+    single final EXIT and the file sizes, and raises :class:`ProgramError`.
     Structural equality compares instructions and file sizes; label names
     are presentation only and excluded from comparison.
     """
@@ -166,6 +168,20 @@ class Program:
     register_file_size: int = DEFAULT_REGISTER_FILE
     predicate_file_size: int = DEFAULT_PREDICATE_FILE
     labels: Mapping[str, int] = field(default_factory=dict, compare=False)
+
+    def __post_init__(self):
+        ins_list = self.instructions
+        for i, ins in enumerate(ins_list):
+            _check_instruction(i, ins, len(ins_list), self.register_file_size,
+                               self.predicate_file_size)
+        if not ins_list:
+            raise ProgramError("program has no instructions")
+        exits = [i for i, ins in enumerate(ins_list) if ins.opcode is Opcode.EXIT]
+        if len(exits) != 1 or exits[0] != len(ins_list) - 1:
+            raise ProgramError("program must contain exactly one EXIT, as the final instruction")
+        for size in (self.register_file_size, self.predicate_file_size):
+            if not 1 <= size <= MAX_FILE_SIZE:
+                raise ProgramError(f"register and predicate file sizes must be in 1..{MAX_FILE_SIZE}")
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -214,40 +230,11 @@ def _file_index(name: str, file_size: int, kind: str, special: str) -> int:
     return index
 
 
-_VALID_ATTR = "_warpsim_valid"
-
-
-def validate_program(program: Program) -> Program:
-    """Check all structural invariants; returns the program for chaining.
-
-    A program that passes is marked as valid, so checking it again (as
-    every run does) costs nothing.
-    """
-    if getattr(program, _VALID_ATTR, False):
-        return program
-    for i, ins in enumerate(program.instructions):
-        _check_instruction(i, ins, len(program), program.register_file_size,
-                           program.predicate_file_size)
-    return _check_layout(program)
-
-
-def _check_layout(program: Program) -> Program:
-    """Program-wide checks; marks the program valid once its instructions passed."""
-    ins_list = program.instructions
-    if not ins_list:
-        raise ProgramError("program has no instructions")
-    exits = [i for i, ins in enumerate(ins_list) if ins.opcode is Opcode.EXIT]
-    if len(exits) != 1 or exits[0] != len(ins_list) - 1:
-        raise ProgramError("program must contain exactly one EXIT, as the final instruction")
-    for size in (program.register_file_size, program.predicate_file_size):
-        if not 1 <= size <= MAX_FILE_SIZE:
-            raise ProgramError(f"register and predicate file sizes must be in 1..{MAX_FILE_SIZE}")
-    object.__setattr__(program, _VALID_ATTR, True)
-    return program
-
-
 def _err(i: int, ins: Instruction, message: str) -> ProgramError:
-    return ProgramError(f"instruction {i} ({ins.opcode.value}): {message}")
+    """A fault of instruction ``i``; ``index`` lets the parser name its line."""
+    exc = ProgramError(f"instruction {i} ({ins.opcode.value}): {message}")
+    exc.index = i
+    return exc
 
 
 def _check_instruction(i: int, ins: Instruction, length: int, regs: int, preds: int) -> None:
@@ -323,7 +310,7 @@ def read_text(path) -> str:
 
 
 def parse_program(text: str) -> Program:
-    """Assemble source text into a validated :class:`Program`.
+    """Assemble source text into a :class:`Program`.
 
     Raises :class:`AsmError` naming the offending line on any syntax,
     register-range, or label-resolution problem.
@@ -390,7 +377,7 @@ def parse_program(text: str) -> Program:
     register_file_size, predicate_file_size = sizes.values()
 
     instructions = []
-    for index, (line_no, pred_token, mnemonic, pop_bit, operands) in enumerate(statements):
+    for line_no, pred_token, mnemonic, pop_bit, operands in statements:
         opcode = _MNEMONICS.get(mnemonic)
         if opcode is None:
             raise AsmError(line_no, f"unknown mnemonic {mnemonic!r}")
@@ -399,23 +386,14 @@ def parse_program(text: str) -> Program:
                                      register_file_size, predicate_file_size)
             if pred_token is not None:
                 fields["pred"] = predicate_index(pred_token, predicate_file_size)
-            ins = Instruction(opcode, pop_bit=pop_bit, **fields)
-            _check_instruction(index, ins, len(statements), register_file_size,
-                               predicate_file_size)
         except ProgramError as exc:
             raise AsmError(line_no, str(exc)) from None
-        instructions.append(ins)
+        instructions.append(Instruction(opcode, pop_bit=pop_bit, **fields))
 
-    program = Program(
-        instructions=tuple(instructions),
-        register_file_size=register_file_size,
-        predicate_file_size=predicate_file_size,
-        labels=labels,
-    )
     try:
-        return _check_layout(program)
-    except ProgramError as exc:
-        raise AsmError(statements[-1][0], str(exc)) from None
+        return Program(tuple(instructions), register_file_size, predicate_file_size, labels)
+    except ProgramError as exc:  # an instruction's fault at its line, else at the last
+        raise AsmError(statements[getattr(exc, "index", -1)][0], str(exc)) from None
 
 
 def _parse_operands(opcode: Opcode, tokens: list[str], labels: Mapping[str, int],
@@ -487,7 +465,6 @@ def format_instruction(ins: Instruction, label_of=None) -> str:
 
 def format_program(program: Program) -> str:
     """Render a program as assembly text that re-parses to an equal program."""
-    validate_program(program)
     names: dict[int, str] = {}
     for name in sorted(program.labels, key=lambda n: (program.labels[n], n)):
         names.setdefault(program.labels[name], name)

@@ -45,7 +45,7 @@ def test_criterion_1_walk_through_golden():
     restored = [r.active_after for r in result.event_log
                 if r.kind in (StackEvent.DIV_POP, StackEvent.SYNC_POP)]
     assert restored == [0x40000000, 0x80000000, 0xFFFFFFFF]
-    assert [0] + [move[5] for move in result.moves] == [0, 1, 2, 3, 2, 1, 0]
+    assert [0] + [move[4] for move in result.moves] == [0, 1, 2, 3, 2, 1, 0]
 
     runtime = best_of(lambda: ws.run(program, launch))
     assert runtime < 1e-3, f"n=2 run took {runtime * 1e3:.3f} ms"
@@ -139,7 +139,7 @@ def test_criterion_9_stack_balance_invariant_suite(kepler_results):
         for result in kepler_results[kernel].values():
             ws.verify_result(result)  # balance, partition, restoration
             assert result.events.pushes == result.events.pops
-            assert result.moves[-1][5] == 0
+            assert result.moves[-1][4] == 0
             audited += 1
     rng = random.Random(7)
     for _ in range(25):

@@ -1,14 +1,18 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import warpsim.cli
 from warpsim.cli import _parse_reg_option, main
+from warpsim.errors import ModelViolation
 from warpsim.stack import DEPTH_LIMIT
 
 
@@ -147,6 +151,24 @@ def test_model_violation_exits_two(capsys, tmp_path):
     code, _, err = invoke(capsys, "run", "--program", str(source))
     assert code == 2
     assert "model violation" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--kernel", "single", "--n", "2"),
+    ("--program", "loop.sasm"),
+], ids=["kernel", "program"])
+@pytest.mark.parametrize("command", ["run", "trace"])
+def test_a_failed_audit_exits_two_and_writes_nothing(capsys, tmp_path, monkeypatch,
+                                                     command, argv):
+    def fail(result):
+        raise ModelViolation("audit failed")
+
+    (tmp_path / "loop.sasm").write_text("SSY done\nNOP.S\ndone: EXIT\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(warpsim.cli, "verify_result", fail)
+    code, out, err = invoke(capsys, command, *argv, "--out", "out.txt")
+    assert (code, out, err) == (2, "", "warpsim: model violation: audit failed\n")
+    assert not (tmp_path / "out.txt").exists()
 
 
 @pytest.mark.parametrize("text", [
@@ -301,9 +323,13 @@ def test_help_exits_zero(capsys):
 
 
 def test_module_entry_point():
+    # The child imports the warpsim under test, installed or not.
+    src = str(Path(warpsim.cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
         [sys.executable, "-m", "warpsim.cli", "dump", "--kernel", "double"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
     assert "NOP.S" in proc.stdout
 

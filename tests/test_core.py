@@ -438,7 +438,7 @@ class TestRun:
         assert result.executed_instructions == 5
         assert result.executed_branches == 1
         assert result.events.sync_pushes == 1 and result.events.sync_pops == 1
-        assert ((0, 0),) + tuple((m[0], m[5]) for m in result.moves) == ((0, 0), (1, 1), (4, 0))
+        assert ((0, 0),) + tuple((m[0], m[4]) for m in result.moves) == ((0, 0), (1, 1), (4, 0))
 
     def test_determinism_bit_identical(self):
         launch = ws.kernel_launch("double", ws.bound_pattern(9).bounds)
@@ -537,9 +537,11 @@ class TestVerifyResult:
         ("overlaps the surviving active mask",
          lambda moves: _edit_first(moves, StackEvent.DIV_PUSH, "token", lambda m: m["token"]
                                    ._replace(mask=m["token"].mask | m["active_after"]))),
+        # A move's mask before it is the previous move's active_after, here that of
+        # the SYNC push just ahead of the first DIV push.
         ("does not partition",
-         lambda moves: _edit_first(moves, StackEvent.DIV_PUSH, "active_before",
-                                   lambda m: m["active_before"] ^ 1)),
+         lambda moves: _edit_first(moves, StackEvent.SYNC_PUSH, "active_after",
+                                   lambda m: m["active_after"] ^ 1)),
         ("did not restore the token mask",
          lambda moves: _edit_first(moves, StackEvent.SYNC_POP, "active_after",
                                    lambda m: m["active_after"] ^ 1)),
@@ -559,7 +561,7 @@ class TestVerifyResult:
             ws.verify_result(bad)
 
 
-MOVE_FIELDS = ("ordinal", "events", "token", "active_before", "active_after", "depth", "cycle")
+MOVE_FIELDS = ("ordinal", "events", "token", "active_after", "depth", "cycle")
 
 
 def _edit_first(moves, kind, field, edit):

@@ -1,5 +1,7 @@
 """Parser, formatter, and program-validation behavior."""
 
+import dataclasses
+
 import pytest
 
 import warpsim as ws
@@ -154,11 +156,9 @@ def test_file_sizes_are_capped():
     prog = ws.parse_program(f".registers {top}\n.predicates {top}\nMOV R{top - 1}, 1\nEXIT")
     assert (prog.register_file_size, prog.predicate_file_size) == (top, top)
     with pytest.raises(ProgramError, match="file sizes"):
-        ws.validate_program(isa.Program((isa.Instruction(ws.Opcode.EXIT),),
-                                        register_file_size=top + 1))
+        isa.Program((isa.Instruction(ws.Opcode.EXIT),), register_file_size=top + 1)
     with pytest.raises(ProgramError, match="file sizes"):
-        ws.validate_program(isa.Program((isa.Instruction(ws.Opcode.EXIT),),
-                                        predicate_file_size=top + 1))
+        isa.Program((isa.Instruction(ws.Opcode.EXIT),), predicate_file_size=top + 1)
 
 
 def test_float_immediate_rounded_to_float32():
@@ -229,11 +229,39 @@ def test_every_opcode_has_one_spec_row_and_decode_kinds():
     assert list(isa.SPECS) == list(ws.Opcode)
 
 
-def test_run_validates_a_directly_built_program():
-    bad = isa.Program(instructions=(isa.Instruction(ws.Opcode.MOV, dst=0, imm=1 << 40),
-                                    isa.Instruction(ws.Opcode.EXIT)))
+def test_a_directly_built_program_is_checked_at_construction():
     with pytest.raises(ProgramError, match="32-bit"):
-        ws.run(bad)
+        isa.Program(instructions=(isa.Instruction(ws.Opcode.MOV, dst=0, imm=1 << 40),
+                                  isa.Instruction(ws.Opcode.EXIT)))
+
+
+def test_a_valid_directly_built_program_runs_without_a_parse():
+    program = isa.Program((isa.Instruction(ws.Opcode.MOV, dst=2, imm=7),
+                           isa.Instruction(ws.Opcode.IADD, dst=2, src_a=2, imm=-9),
+                           isa.Instruction(ws.Opcode.EXIT)), register_file_size=3)
+    result = ws.verify_result(ws.run(program))
+    assert result.register("R2") == (-2,) * ws.WARP_SIZE
+    assert ws.parse_program(ws.format_program(program)) == program
+
+
+def test_replace_checks_the_new_program():
+    program = ws.parse_program("NOP\nEXIT")
+    with pytest.raises(ProgramError) as err:
+        dataclasses.replace(program, register_file_size=0)
+    assert str(err.value) == f"register and predicate file sizes must be in 1..{isa.MAX_FILE_SIZE}"
+    with pytest.raises(ProgramError) as err:
+        dataclasses.replace(program, instructions=program.instructions[1:] * 2)
+    assert str(err.value) == "program must contain exactly one EXIT, as the final instruction"
+
+
+def test_a_syntax_fault_is_reported_before_a_range_fault_on_an_earlier_line():
+    with pytest.raises(AsmError) as err:
+        ws.parse_program("MOV R1, 5000000000\nFOO\nEXIT")
+    assert str(err.value) == "line 2: unknown mnemonic 'FOO'"
+    with pytest.raises(AsmError) as err:  # alone, the range fault keeps its line and text
+        ws.parse_program("MOV R1, 5000000000\nNOP\nEXIT")
+    assert str(err.value) == \
+        "line 1: instruction 0 (MOV): immediate 5000000000 outside 32-bit signed range"
 
 
 def test_format_renders_suffix_prefix_and_directives():
@@ -252,7 +280,7 @@ def test_program_equality_ignores_label_names():
     assert a != ws.parse_program("top: NOP\nBRA 0\nNOP\nEXIT")
 
 
-def test_validate_rejects_malformed_instructions():
+def test_program_rejects_malformed_instructions():
     exit_ins = isa.Instruction(ws.Opcode.EXIT)
 
     def program_of(*instructions):
@@ -272,7 +300,7 @@ def test_validate_rejects_malformed_instructions():
     ]
     for ins in cases:
         with pytest.raises(ProgramError):
-            isa.validate_program(program_of(ins))
+            program_of(ins)
 
 
 @pytest.mark.parametrize("ins,message", [
@@ -288,15 +316,15 @@ def test_validate_rejects_malformed_instructions():
     (isa.Instruction(ws.Opcode.FADD_IMM, dst=0, src_a=0, imm=1),
      "instruction 0 (FADD32I): needs a float immediate"),
 ], ids=["pred", "int-imm", "missing-reg", "reg-range", "pred-operand", "f32-imm"])
-def test_validate_names_the_fault_of_a_hand_built_instruction(ins, message):
+def test_program_names_the_fault_of_a_hand_built_instruction(ins, message):
     with pytest.raises(ProgramError) as err:
-        isa.validate_program(isa.Program((ins, isa.Instruction(ws.Opcode.EXIT))))
+        isa.Program((ins, isa.Instruction(ws.Opcode.EXIT)))
     assert str(err.value) == message
 
 
-def test_validate_rejects_an_empty_program():
+def test_program_rejects_an_empty_program():
     with pytest.raises(ProgramError) as err:
-        isa.validate_program(isa.Program(()))
+        isa.Program(())
     assert str(err.value) == "program has no instructions"
 
 

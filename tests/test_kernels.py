@@ -61,7 +61,7 @@ class TestSingleLoop:
             (StackEvent.DIV_POP, 0x80000000, 0x80000000),
             (StackEvent.SYNC_POP, 0xFFFFFFFF, 0xFFFFFFFF),
         ]
-        assert [0] + [move[5] for move in result.moves] == [0, 1, 2, 3, 2, 1, 0]
+        assert [0] + [move[4] for move in result.moves] == [0, 1, 2, 3, 2, 1, 0]
         # both DIV tokens park their lanes at the pop-bit NOP
         unwind_pc = ws.kernel_program("single").labels["unwind"]
         assert all(r.token_pc == unwind_pc for r in result.event_log
