@@ -145,6 +145,8 @@ class WarpState:
                  "cycle", "halted", "slots", "_issue_cost", "_event_cycles")
 
     def __init__(self, program: Program, launch: LaunchConfig):
+        if type(launch.active_mask) is not int:
+            raise ProgramError(f"launch active mask {launch.active_mask!r} is not an integer")
         if not 0 < launch.active_mask <= FULL_MASK:
             raise ProgramError(f"launch active mask {launch.active_mask:#x} invalid")
         self.pc = 0
@@ -208,20 +210,15 @@ def _launch_value(name: str, value) -> Union[int, float]:
 
 
 class EventRecord(NamedTuple):
-    """One stack event with enough context to audit the mask discipline.
+    """One stack event and the token it moved (none for a spill), read off the move log.
 
-    ``depth`` is the logical stack depth after the instruction that
-    produced the event; ``active_before``/``active_after`` bracket that
-    instruction.  Spill events carry no token.  Built from the move log.
+    Masks and depths live in the move log itself, :attr:`RunResult.moves`.
     """
 
     ordinal: int
     kind: StackEvent
     token_mask: Union[int, None]
     token_pc: Union[int, None]
-    depth: int
-    active_before: int
-    active_after: int
 
 
 class TraceRecord(NamedTuple):
@@ -236,6 +233,7 @@ class TraceRecord(NamedTuple):
     cycle: int
 
 
+@dataclass
 class Trace(Sequence):
     """The trace of one run: a pc log plus the run's stack-move log.
 
@@ -246,16 +244,13 @@ class Trace(Sequence):
     It reads as a sequence of :class:`TraceRecord`, built on first access.
     """
 
-    __slots__ = ("pcs", "moves", "labels", "launch_mask", "issue_cost", "_records")
-
-    def __init__(self, pcs: list[int], moves: tuple[tuple, ...], labels: tuple[str, ...],
-                 launch_mask: int, issue_cost: int):
-        self.pcs = pcs
-        self.moves = moves
-        self.labels = labels  # opcode label by pc
-        self.launch_mask = launch_mask
-        self.issue_cost = issue_cost
-        self._records: Union[tuple[TraceRecord, ...], None] = None
+    pcs: list[int]
+    moves: tuple[tuple, ...]
+    labels: tuple[str, ...]  # opcode label by pc
+    launch_mask: int
+    issue_cost: int
+    _records: Union[tuple[TraceRecord, ...], None] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def rows(self):
         """Yield runs ``(pcs, (active_mask, depth, event names), ordinals, cycles)``.
@@ -294,12 +289,6 @@ class Trace(Sequence):
     def __iter__(self):
         return iter(self[:])
 
-    def __eq__(self, other):
-        if not isinstance(other, Trace):
-            return NotImplemented
-        return ((self.pcs, self.moves, self.labels, self.launch_mask, self.issue_cost)
-                == (other.pcs, other.moves, other.labels, other.launch_mask, other.issue_cost))
-
 
 @dataclass(frozen=True)
 class RunResult:
@@ -325,12 +314,9 @@ class RunResult:
     @property
     def event_log(self) -> tuple[EventRecord, ...]:
         """``moves`` as one :class:`EventRecord` per stack event; the benchmark replays it."""
-        befores = (self.launch_mask, *(move[3] for move in self.moves))
-        return tuple(EventRecord(ordinal, event, None, None, depth, before, after)
-                     if event >= _SPILL_STORE else
-                     EventRecord(ordinal, event, token.mask, token.pc, depth, before, after)
-                     for (ordinal, events, token, after, depth, _), before
-                     in zip(self.moves, befores) for event in events)
+        return tuple(EventRecord(ordinal, event, None, None) if event >= _SPILL_STORE else
+                     EventRecord(ordinal, event, token.mask, token.pc)
+                     for ordinal, events, token, _, _, _ in self.moves for event in events)
 
     @property
     def sync_pushes(self) -> int:

@@ -182,9 +182,12 @@ class Program:
         for size in (self.register_file_size, self.predicate_file_size):
             if not 1 <= size <= MAX_FILE_SIZE:
                 raise ProgramError(f"register and predicate file sizes must be in 1..{MAX_FILE_SIZE}")
-
-    def __len__(self) -> int:
-        return len(self.instructions)
+        for name, index in self.labels.items():
+            if type(name) is not str or not _IDENT_RE.fullmatch(name):
+                raise ProgramError(f"label {name!r} is not an identifier")
+            if type(index) is not int or not 0 <= index < len(ins_list):
+                raise ProgramError(f"label {name!r} points at {index!r}, "
+                                   "not an instruction of this program")
 
 
 def register_name(index: int) -> str:
@@ -242,14 +245,17 @@ def _check_instruction(i: int, ins: Instruction, length: int, regs: int, preds: 
     spec = SPECS[ins.opcode]
     if ins.pop_bit and not spec.pop:
         raise _err(i, ins, "pop-bit not allowed on this opcode")
-    if ins.pred is not None:
-        if not spec.pred:
-            raise _err(i, ins, "predication not allowed on this opcode")
-        if not PRED_PT <= ins.pred < preds:
-            raise _err(i, ins, f"predicate {ins.pred} outside file")
+    if ins.pred is not None and not spec.pred:
+        raise _err(i, ins, "predication not allowed on this opcode")
     for name in spec.unused:
         if getattr(ins, name) is not None:
             raise _err(i, ins, f"unexpected operand {name}")
+    for name in ("pred", "dst", "pdst", "src_a", "src_b", "slot", "slot_reg", "target"):
+        value = getattr(ins, name)
+        if value is not None and type(value) is not int:  # a bool or a float is no index
+            raise _err(i, ins, f"{name}={value!r} is not an integer")
+    if ins.pred is not None and not PRED_PT <= ins.pred < preds:
+        raise _err(i, ins, f"predicate {ins.pred} outside file")
     for operand in spec.operands:
         shape, name = operand[0], operand[1]
         value = getattr(ins, name)
@@ -262,7 +268,7 @@ def _check_instruction(i: int, ins: Instruction, length: int, regs: int, preds: 
             elif shape == "[reg|int]":
                 if imm < 0:
                     raise _err(i, ins, f"slot index {imm} must be >= 0")
-            elif not isinstance(imm, int):
+            elif type(imm) is not int:
                 raise _err(i, ins, f"immediate {imm!r} must be an integer")
             elif not INT32_MIN <= imm <= INT32_MAX:
                 raise _err(i, ins, f"immediate {imm} outside 32-bit signed range")
@@ -284,7 +290,8 @@ def _check_instruction(i: int, ins: Instruction, length: int, regs: int, preds: 
                 raise _err(i, ins, f"immediate {value!r} is not float32-exact")
 
 
-_LABEL_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*:\s*")
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_LABEL_RE = re.compile(rf"({_IDENT_RE.pattern})\s*:\s*")
 _INT_RE = re.compile(r"^[+-]?(0[xXoObB][0-9a-fA-F]+|\d+)$")
 
 
@@ -468,9 +475,11 @@ def format_program(program: Program) -> str:
     names: dict[int, str] = {}
     for name in sorted(program.labels, key=lambda n: (program.labels[n], n)):
         names.setdefault(program.labels[name], name)
-    for ins in program.instructions:
-        if ins.target is not None:
-            names.setdefault(ins.target, f"L{ins.target}")
+    targeted = {ins.target for ins in program.instructions} - {None}
+    for target in targeted - names.keys():
+        names[target] = f"L{target}"
+        while names[target] in program.labels:  # never a source label's name
+            names[target] += "_"
 
     lines = []
     if program.register_file_size != DEFAULT_REGISTER_FILE:
@@ -478,7 +487,6 @@ def format_program(program: Program) -> str:
     if program.predicate_file_size != DEFAULT_PREDICATE_FILE:
         lines.append(f".predicates {program.predicate_file_size}")
     width = max([len(name) + 1 for name in names.values()] + [7]) + 1
-    targeted = {ins.target for ins in program.instructions if ins.target is not None}
     for index, ins in enumerate(program.instructions):
         prefix = f"{names[index]}:" if index in targeted else ""
         body = format_instruction(ins, label_of=lambda t: names[t])

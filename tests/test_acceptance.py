@@ -42,8 +42,8 @@ def test_criterion_1_walk_through_golden():
         (StackEvent.DIV_POP, 0x80000000),
         (StackEvent.SYNC_POP, 0xFFFFFFFF),
     ]
-    restored = [r.active_after for r in result.event_log
-                if r.kind in (StackEvent.DIV_POP, StackEvent.SYNC_POP)]
+    restored = [after for _, events, _, after, _, _ in result.moves
+                if StackEvent.DIV_POP in events or StackEvent.SYNC_POP in events]
     assert restored == [0x40000000, 0x80000000, 0xFFFFFFFF]
     assert [0] + [move[4] for move in result.moves] == [0, 1, 2, 3, 2, 1, 0]
 

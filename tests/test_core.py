@@ -452,7 +452,7 @@ class TestRun:
             ws.run(program, ws.LaunchConfig(registers={"R1": [1, 2, 3]}))
         with pytest.raises(ProgramError, match="RZ"):
             ws.run(program, ws.LaunchConfig(registers={"RZ": [0] * 32}))
-        with pytest.raises(ProgramError, match="active mask"):
+        with pytest.raises(ProgramError, match="^launch active mask 0x0 invalid$"):
             ws.run(program, ws.LaunchConfig(active_mask=0))
         with pytest.raises(ProgramError, match="active mask"):
             ws.run(program, ws.LaunchConfig(active_mask=1 << 32))
@@ -486,7 +486,8 @@ class TestRun:
         rng = random.Random(0)
         steps = [rng.randrange(-2**31, 2**31) for _ in range(32)]
         result = checked_run(program, ws.LaunchConfig(registers={"R2": steps}))
-        masks = {r.active_after for r in result.event_log if r.kind is StackEvent.DIV_PUSH}
+        masks = {after for _, events, _, after, _, _ in result.moves
+                 if StackEvent.DIV_PUSH in events}
         assert len(masks) > core._LANES_CACHE_MAX
         assert 0 < len(core._lanes_cache) <= core._LANES_CACHE_MAX
 

@@ -325,5 +325,4 @@ class TestTraces:
     def test_record_fields_keep_their_names_and_order(self):
         assert ws.TraceRecord._fields == ("ordinal", "pc", "opcode", "active_mask", "depth",
                                           "events", "cycle")
-        assert ws.EventRecord._fields == ("ordinal", "kind", "token_mask", "token_pc", "depth",
-                                          "active_before", "active_after")
+        assert ws.EventRecord._fields == ("ordinal", "kind", "token_mask", "token_pc")

@@ -322,6 +322,72 @@ def test_program_names_the_fault_of_a_hand_built_instruction(ins, message):
     assert str(err.value) == message
 
 
+def _program_of(ins):
+    return isa.Program((ins, isa.Instruction(ws.Opcode.EXIT)))
+
+
+def _run_under_mask(active_mask):
+    return ws.run(ws.parse_program("NOP\nEXIT"), ws.LaunchConfig(active_mask=active_mask))
+
+
+@pytest.mark.parametrize("build,arg,message", [
+    (_program_of, isa.Instruction(ws.Opcode.MOV, dst="a", imm=1),
+     "instruction 0 (MOV): dst='a' is not an integer"),
+    (_program_of, isa.Instruction(ws.Opcode.BRA, target=0, pred="0"),
+     "instruction 0 (BRA): pred='0' is not an integer"),
+    (_program_of, isa.Instruction(ws.Opcode.STORE_SLOT, slot="x", src_a=0),
+     "instruction 0 (STSLOT): slot='x' is not an integer"),
+    (_program_of, isa.Instruction(ws.Opcode.BRA, target=True),
+     "instruction 0 (BRA): target=True is not an integer"),
+    (_program_of, isa.Instruction(ws.Opcode.BRA, target=0.0),
+     "instruction 0 (BRA): target=0.0 is not an integer"),
+    (_program_of, isa.Instruction(ws.Opcode.STORE_SLOT, slot=1.5, src_a=0),
+     "instruction 0 (STSLOT): slot=1.5 is not an integer"),
+    (_program_of, isa.Instruction(ws.Opcode.ISETP_LT, pdst=0.0, src_a=0, imm=1),
+     "instruction 0 (ISETP.LT): pdst=0.0 is not an integer"),
+    (_program_of, isa.Instruction(ws.Opcode.IADD, dst=1, src_a=0, imm=True),
+     "instruction 0 (IADD): immediate True must be an integer"),
+    (_program_of, isa.Instruction(ws.Opcode.MOV, dst=1, src_a=True),
+     "instruction 0 (MOV): src_a=True is not an integer"),
+    (_run_under_mask, 1.5, "launch active mask 1.5 is not an integer"),
+    (_run_under_mask, True, "launch active mask True is not an integer"),
+    (_run_under_mask, "3", "launch active mask '3' is not an integer"),
+], ids=["dst-str", "pred-str", "slot-str", "target-bool", "target-float", "slot-float",
+        "pdst-float", "imm-bool", "src-bool", "mask-float", "mask-bool", "mask-str"])
+def test_every_integer_field_must_be_a_plain_int(build, arg, message):
+    with pytest.raises(ProgramError) as err:
+        build(arg)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("labels,message", [
+    ({"1 bad": 1}, "label '1 bad' is not an identifier"),
+    ({"ok": 0, 7: 1}, "label 7 is not an identifier"),
+    ({"x": 5}, "label 'x' points at 5, not an instruction of this program"),
+    ({"x": -1}, "label 'x' points at -1, not an instruction of this program"),
+    ({"x": True}, "label 'x' points at True, not an instruction of this program"),
+], ids=["not-identifier", "not-str", "past-end", "negative", "bool"])
+def test_program_checks_its_labels(labels, message):
+    instructions = (isa.Instruction(ws.Opcode.BRA, target=1), isa.Instruction(ws.Opcode.EXIT))
+    with pytest.raises(ProgramError) as err:
+        isa.Program(instructions, labels=labels)
+    assert str(err.value) == message
+    with pytest.raises(ProgramError):
+        dataclasses.replace(isa.Program(instructions), labels=labels)
+
+
+@pytest.mark.parametrize("source", [
+    "L1: NOP\nBRA L1\nBRA 1\nEXIT",
+    "L2: NOP\nBRA 2\nNOP\nBRA L2\nEXIT",
+    "L1: L1_: NOP\nBRA L1\nBRA 1\nEXIT",
+], ids=["on-another-instruction", "named-twice", "suffixed-too"])
+def test_format_never_gives_a_numeric_target_a_source_label_name(source):
+    program = ws.parse_program(source)
+    text = ws.format_program(program)
+    assert ws.parse_program(text) == program
+    assert ws.format_program(ws.parse_program(text)) == text
+
+
 def test_program_rejects_an_empty_program():
     with pytest.raises(ProgramError) as err:
         isa.Program(())

@@ -52,20 +52,20 @@ class TestSingleLoop:
     def test_walk_through_n2_token_sequence(self):
         result = checked_run(ws.kernel_program("single"),
                              ws.kernel_launch("single", ws.bound_pattern(2).bounds))
-        log = [(r.kind, r.token_mask, r.active_after) for r in result.event_log]
+        log = [(events, token.mask, after) for _, events, token, after, _, _ in result.moves]
         assert log == [
-            (StackEvent.SYNC_PUSH, 0xFFFFFFFF, 0xFFFFFFFF),
-            (StackEvent.DIV_PUSH, 0x80000000, 0x7FFFFFFF),
-            (StackEvent.DIV_PUSH, 0x40000000, 0x3FFFFFFF),
-            (StackEvent.DIV_POP, 0x40000000, 0x40000000),
-            (StackEvent.DIV_POP, 0x80000000, 0x80000000),
-            (StackEvent.SYNC_POP, 0xFFFFFFFF, 0xFFFFFFFF),
+            ((StackEvent.SYNC_PUSH,), 0xFFFFFFFF, 0xFFFFFFFF),
+            ((StackEvent.DIV_PUSH,), 0x80000000, 0x7FFFFFFF),
+            ((StackEvent.DIV_PUSH,), 0x40000000, 0x3FFFFFFF),
+            ((StackEvent.DIV_POP,), 0x40000000, 0x40000000),
+            ((StackEvent.DIV_POP,), 0x80000000, 0x80000000),
+            ((StackEvent.SYNC_POP,), 0xFFFFFFFF, 0xFFFFFFFF),
         ]
         assert [0] + [move[4] for move in result.moves] == [0, 1, 2, 3, 2, 1, 0]
         # both DIV tokens park their lanes at the pop-bit NOP
         unwind_pc = ws.kernel_program("single").labels["unwind"]
-        assert all(r.token_pc == unwind_pc for r in result.event_log
-                   if r.kind is StackEvent.DIV_PUSH)
+        assert all(token.pc == unwind_pc for _, events, token, _, _, _ in result.moves
+                   if events == (StackEvent.DIV_PUSH,))
 
     def test_uniform_bounds_never_diverge(self):
         result = checked_run(ws.kernel_program("single"),

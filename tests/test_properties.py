@@ -1,5 +1,8 @@
 """Property tests: functional oracle, stack discipline, round-trips."""
 
+import math
+import struct
+
 from hypothesis import given, settings, strategies as st
 
 import warpsim as ws
@@ -127,16 +130,16 @@ def test_sync_pops_restore_the_mask_recorded_by_ssy(bounds):
     result = checked_run(ws.kernel_program("double"),
                          ws.kernel_launch("double", bounds))
     pending = []
-    for record in result.event_log:
-        if record.kind is StackEvent.SYNC_PUSH:
-            pending.append(record.token_mask)
-        elif record.kind is StackEvent.DIV_PUSH:
+    for _, events, token, after, _, _ in result.moves:  # each move is one push or one pop
+        if StackEvent.SYNC_PUSH in events:
+            pending.append(token.mask)
+        elif StackEvent.DIV_PUSH in events:
             pending.append(None)
-        elif record.kind in (StackEvent.SYNC_POP, StackEvent.DIV_POP):
+        else:
             recorded = pending.pop()
-            if record.kind is StackEvent.SYNC_POP:
+            if StackEvent.SYNC_POP in events:
                 assert recorded is not None
-                assert record.active_after == recorded
+                assert after == recorded
     assert pending == []
 
 
@@ -225,3 +228,85 @@ def test_packed_lanes_match_a_scalar_reference(case):
     launch = ws.LaunchConfig(registers={"R1": r1, "R2": r2, "R7": r7}, active_mask=active)
     result = checked_run(program, launch)
     assert list(result.registers) == packed_lanes_reference(r1, r2, r7, imm, imm2, active)
+
+
+# Mixed int/float lanes: the same kind of check for rows that hold floats.
+MIXED_LANES = """
+        MOV R3, R1               ; a mixed row
+        FADD32I R4, R1, {fimm}   ; a float row from a mixed one
+        ISETP.LT P0, R1, R2      ; a mixed row against an int row
+        ISETP.LT P1, R4, {imm}   ; a float row against an immediate
+        STSLOT [0], R1
+        MOV R5, R2               ; an int row for the branch to write into
+        ISETP.LT P2, R7, 0       ; the lanes of the split mask
+        SSY join
+        @P2 BRA div
+        MOV R5, R1               ; not-taken lanes write a mixed row
+        BRA unwind
+div:    FADD32I R5, R2, {fimm}   ; taken lanes write a float row
+unwind: NOP.S
+join:   NOP
+""" + "".join(_MATERIALISE.format(k=k) for k in range(3)) + "        EXIT\n"
+
+
+def _f32(value):
+    return struct.unpack("<f", struct.pack("<f", value))[0]
+
+
+F32_BOUND = _f32(1e30)
+float32s = st.one_of(st.sampled_from([-0.0, math.inf, -math.inf, _f32(0.1)]),
+                     st.floats(min_value=-F32_BOUND, max_value=F32_BOUND, width=32))
+
+
+def mixed_lanes_reference(r1, r2, r7, fimm, imm, active):
+    """Final R0..R15 and slots of MIXED_LANES, one scalar lane at a time."""
+    per_lane, slots = [], []
+    for t in range(32):
+        lane = [0] * 16
+        lane[1], lane[2], lane[7] = r1[t], r2[t], r7[t]
+        slots.append({})
+        if active >> t & 1:
+            a, b = r1[t], r2[t]
+            lane[3], lane[4] = a, _f32(a + fimm)
+            preds = [a < b, lane[4] < imm, r7[t] < 0]
+            slots[t][0] = a
+            lane[5] = _f32(b + fimm) if preds[2] else a
+            for k in range(3):
+                if preds[k]:
+                    lane[10 + k] = 1
+        per_lane.append(lane)
+    return [tuple(lane[r] for lane in per_lane) for r in range(16)], slots
+
+
+@st.composite
+def mixed_lane_cases(draw):
+    r1 = draw(st.lists(st.one_of(int32s, float32s), min_size=32, max_size=32))
+    fresh = draw(st.lists(int32s, min_size=32, max_size=32))
+    # Lane t of R2 is R1's value (truncated to an int), a +-1 neighbour of it, or fresh.
+    relation = draw(st.lists(st.sampled_from([0, 1, -1, None]), min_size=32, max_size=32))
+    r2 = []
+    for a, rel, other in zip(r1, relation, fresh):
+        near = rel is not None and math.isfinite(a) and INT32_MIN <= int(a) <= INT32_MAX
+        r2.append(_wrap(int(a) + rel) if near else other)
+    split = draw(lane_masks)
+    r7 = [-(split >> t & 1) for t in range(32)]
+    fimm = draw(st.floats(min_value=-1e6, max_value=1e6, width=32))
+    return r1, r2, r7, fimm, draw(int32s), draw(lane_masks.filter(bool))
+
+
+def _exact(rows):
+    """Rows (or slot dicts) with each lane value as its repr, so 0 != 0.0 != -0.0."""
+    return [{k: repr(v) for k, v in row.items()} if isinstance(row, dict)
+            else tuple(map(repr, row)) for row in rows]
+
+
+@given(mixed_lane_cases())
+@settings(max_examples=80, deadline=None)
+def test_mixed_lanes_match_a_scalar_reference(case):
+    r1, r2, r7, fimm, imm, active = case
+    program = ws.parse_program(MIXED_LANES.format(fimm=repr(fimm), imm=imm))
+    launch = ws.LaunchConfig(registers={"R1": r1, "R2": r2, "R7": r7}, active_mask=active)
+    result = checked_run(program, launch)
+    registers, slots = mixed_lanes_reference(r1, r2, r7, fimm, imm, active)
+    assert _exact(result.registers) == _exact(registers)
+    assert _exact(result.slots) == _exact(slots)

@@ -39,32 +39,30 @@ def reference_trace(program, launch):
 
 
 def reference_views(program, launch):
-    """The EventRecord log and depth history, read off the state around each step."""
+    """The move log and the EventRecord log, read off the state after each step."""
     state = WarpState(program, launch)
-    log, history, ordinal = [], [(0, 0)], 0
+    moves, log, ordinal = [], [], 0
     while not state.halted:
-        before = state.active_mask
         events, token = step(state, program)
         ordinal += 1
-        depth = state.stack.depth
+        if events:
+            moves.append((ordinal, events, token, state.active_mask, state.stack.depth,
+                          state.cycle))
         for event in events:
             spill = event in (ws.StackEvent.SPILL_STORE, ws.StackEvent.SPILL_LOAD)
             log.append(ws.EventRecord(ordinal, event, None if spill else token.mask,
-                                      None if spill else token.pc, depth, before,
-                                      state.active_mask))
-        if events:
-            history.append((ordinal, depth))
-    return tuple(log), tuple(history)
+                                      None if spill else token.pc))
+    return tuple(moves), tuple(log)
 
 
 def assert_views_match_reference(program, launch):
-    log, history = reference_views(program, launch)
-    assert log  # every program under test moves the stack
+    moves, log = reference_views(program, launch)
+    assert moves  # every program under test moves the stack
     for record_trace in (False, True):
         result = checked_run(program, launch, record_trace=record_trace)
+        assert result.moves == moves
         assert result.event_log == log
-        assert ((0, 0),) + tuple((m[0], m[4]) for m in result.moves) == history
-        assert result.max_depth == max(depth for _, depth in history)
+        assert result.max_depth == max(move[4] for move in moves)
 
 
 def assert_trace_matches_reference(program, launch):
