@@ -33,16 +33,21 @@ a list, and for :attr:`RunResult.registers`.
 A run is a pure function of (program, launch, profile); equal inputs
 give bit-identical results.
 
-A run logs one tuple per instruction that moved a stack token
-(:attr:`RunResult.moves`, the run's depth history); its event log and
-trace rows are views of it.  A traced run (``record_trace=True``) adds only a pc log (:class:`Trace`).
+A run logs one packed 23-byte record per instruction that moved a stack
+token (:class:`MoveLog`, :attr:`RunResult.moves`, the run's depth
+history); its event log and trace rows are views of it.  A traced run
+(``record_trace=True``) adds only a pc log (:class:`Trace`).
 
 The live cycle counter implements the pop-attributed cost policy: each
-instruction executes, then advances it once by the profile's issue cost
-plus :attr:`ArchProfile.live_event_cycles` of each stack event it caused
-(a DIV-pop carrier thus advances it by ``div_cost`` total, and spill
-traffic adds its store/load legs).  ``CLOCK`` reads the counter at
-issue, before the instruction's own charge.
+instruction executes, then advances it once by its price.  An
+instruction that moves no token costs the profile's issue cost; a move
+costs the issue cost plus :attr:`ArchProfile.live_event_cycles` of each
+stack event it caused (a DIV-pop carrier thus costs ``div_cost`` total,
+and spill traffic adds its store/load legs).  There are eight kinds of
+move, so a run prices them from one table of eight, and the move log
+derives each move's cycle from the same prices instead of storing it.
+``CLOCK`` reads the counter at issue, before the instruction's own
+charge.
 """
 
 from __future__ import annotations
@@ -68,7 +73,8 @@ DEFAULT_BUDGET = 10_000_000
 _MASK32 = 0xFFFFFFFF
 _BIAS = 0x80000000
 _ZEROS = (0,) * WARP_SIZE
-_NO_EVENTS: tuple = ((), None)  # (events, token) of an instruction that moves no token
+_NO_EVENTS: tuple = ((), None)  # step's (events, token) of an instruction that moves no token
+_NO_MOVE: tuple = (None, None)  # _exec_one's (move code, token) of one that moves no token
 _PACK32 = struct.Struct(f"<{WARP_SIZE}f")
 
 # Packed rows: 64-bit lane fields, value in the low 32 bits (see the module docstring).
@@ -142,7 +148,7 @@ class WarpState:
     """Mutable execution state of one simulated warp."""
 
     __slots__ = ("pc", "active_mask", "launch_mask", "regs", "preds", "stack",
-                 "cycle", "halted", "slots", "_issue_cost", "_event_cycles")
+                 "cycle", "halted", "slots", "_issue_cost", "_prices")
 
     def __init__(self, program: Program, launch: LaunchConfig):
         if type(launch.active_mask) is not int:
@@ -168,8 +174,14 @@ class WarpState:
         self.cycle = 0
         self.halted = False
         self.slots: list[dict[int, Union[int, float]]] = [{} for _ in range(WARP_SIZE)]
-        self._issue_cost = launch.profile.issue_cost
-        self._event_cycles = launch.profile.live_event_cycles
+        self._issue_cost = issue = launch.profile.issue_cost
+        sync_push, div_push, sync_pop, div_pop, store, load = launch.profile.live_event_cycles
+        # By move code, the events of _MOVE_EVENTS: SYNC and DIV pushes, the same
+        # after a spill store, SYNC and DIV pops, the same after a spill load.
+        self._prices = (issue + sync_push, issue + div_push,
+                        issue + store + sync_push, issue + store + div_push,
+                        issue + sync_pop, issue + div_pop,
+                        issue + load + sync_pop, issue + load + div_pop)
 
 
 def _launch_row(name: str, values: Sequence) -> Union[int, list]:
@@ -209,6 +221,96 @@ def _launch_value(name: str, value) -> Union[int, float]:
     return isa.f32(float(value))
 
 
+# Enum members as module globals for the per-instruction and per-move paths:
+# on CPython 3.11 an ``Opcode.X`` read goes through ``EnumType.__getattr__``
+# and costs about ten global reads.
+_SSY, _BRA, _NOP, _IADD, _FADD, _ISETP, _MOV, _CLOCK, _STSLOT, _EXIT = (
+    Opcode.SSY, Opcode.BRA, Opcode.NOP, Opcode.IADD, Opcode.FADD_IMM, Opcode.ISETP_LT,
+    Opcode.MOV, Opcode.CLOCK, Opcode.STORE_SLOT, Opcode.EXIT)
+_SYNC, _DIV = TokenKind.SYNC, TokenKind.DIV
+_SPILL_STORE, _SPILL_LOAD = StackEvent.SPILL_STORE, StackEvent.SPILL_LOAD
+
+# A move's code is 4 for a pop, plus 2 for a spill, plus 1 for a DIV token.
+# By code: the events SyncStack.push/pop return, their trace names, the token kind.
+_MOVE_EVENTS = tuple(((_SPILL_LOAD if pop else _SPILL_STORE,) if spill else ())
+                     + (StackEvent(2 * pop + div),)
+                     for pop in (0, 1) for spill in (0, 1) for div in (0, 1))
+_MOVE_NAMES = tuple(tuple(event.name for event in events) for events in _MOVE_EVENTS)
+# By StackEvent: the two move codes that raise it.
+_EVENT_CODES = tuple(tuple(code for code, events in enumerate(_MOVE_EVENTS) if event in events)
+                     for event in StackEvent)
+_TOKEN_KINDS = (_SYNC, _DIV)  # by code & 1
+# One move: ordinal, code, token mask, token pc, active mask after, depth after
+# (stack.DEPTH_LIMIT keeps it in 16 bits); 23 bytes, no padding.
+_RECORD = struct.Struct("<qBIIIH")
+# The same record for readers that skip fields ("x" pads): a decoded field is a
+# new int, so each reader decodes only the fields it reads.
+_AUDIT_FIELDS = struct.Struct("<8xBI4xIH")  # code, token mask, active after, depth
+_TRACE_FIELDS = struct.Struct("<qB8xIH")    # ordinal, code, active after, depth
+_EVENT_FIELDS = struct.Struct("<qBII6x")    # ordinal, code, token mask, token pc
+
+
+class MoveLog(Sequence):
+    """The stack moves of one run, one packed 23-byte record per move.
+
+    A record holds the instruction's ordinal, the move code (4 for a pop,
+    plus 2 for a spill, plus 1 for a DIV token), the moved token's mask
+    and pc, and the active mask and depth after the move.  The cycle
+    after a move is not stored: it is the previous move's (at first 0),
+    plus ``issue_cost`` for each instruction between the two, plus the
+    move's own price, ``prices[code]``.  So it stays an exact int for any
+    costs.
+
+    The log reads as a sequence of ``(ordinal, events, token,
+    active_after, depth, cycle)`` tuples, decoded on each read; an index
+    or a slice decodes from the start.  Two logs are equal when their
+    bytes and prices are; a log equals a tuple or list of the tuples it
+    reads as.
+    """
+
+    __slots__ = ("records", "issue_cost", "prices")
+
+    def __init__(self, records: bytes, issue_cost: int, prices: tuple[int, ...]):
+        self.records = records
+        self.issue_cost = issue_cost
+        self.prices = prices  # by move code
+
+    def __len__(self) -> int:
+        return len(self.records) // _RECORD.size
+
+    def __iter__(self):
+        issue, prices = self.issue_cost, self.prices
+        cycle = done = 0
+        for ordinal, code, mask, pc, after, depth in _RECORD.iter_unpack(self.records):
+            cycle += issue * (ordinal - done - 1) + prices[code]
+            done = ordinal
+            yield (ordinal, _MOVE_EVENTS[code], Token(mask, _TOKEN_KINDS[code & 1], pc),
+                   after, depth, cycle)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        index, size = operator.index(index), len(self)
+        if not -size <= index < size:
+            raise IndexError("move index out of range")
+        return next(islice(self, index % size, None))
+
+    def __reversed__(self):  # Sequence's own would decode from the start once per move
+        return reversed(tuple(self))
+
+    def __eq__(self, other):
+        if isinstance(other, MoveLog):
+            return ((self.records, self.issue_cost, self.prices)
+                    == (other.records, other.issue_cost, other.prices))
+        if isinstance(other, (tuple, list)):
+            return len(self) == len(other) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return (f"<MoveLog of {len(self)} moves, issue_cost={self.issue_cost}, "
+                f"prices={self.prices}>")
+
+
 class EventRecord(NamedTuple):
     """One stack event and the token it moved (none for a spill), read off the move log.
 
@@ -245,10 +347,9 @@ class Trace(Sequence):
     """
 
     pcs: list[int]
-    moves: tuple[tuple, ...]
+    moves: MoveLog
     labels: tuple[str, ...]  # opcode label by pc
     launch_mask: int
-    issue_cost: int
     _records: Union[tuple[TraceRecord, ...], None] = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -259,19 +360,18 @@ class Trace(Sequence):
         runs draw on one iterator over the pc log: consume each in turn.
         """
         pcs = iter(self.pcs)
-        issue = self.issue_cost
+        issue, prices = self.moves.issue_cost, self.moves.prices
         mask, depth, cycle, done = self.launch_mask, 0, 0, 0
-        names: dict = {}
-        for ordinal, events, _, mask_after, depth_after, cycle_after in self.moves:
+        for ordinal, code, mask_after, depth_after in _TRACE_FIELDS.iter_unpack(
+                self.moves.records):
             if ordinal - 1 > done:
                 yield (islice(pcs, ordinal - 1 - done), (mask, depth, ()),
                        count(done + 1), count(cycle + issue, issue))
-            event_names = names.get(events)
-            if event_names is None:
-                event_names = names[events] = tuple([_EVENT_NAMES[e] for e in events])
-            yield ((next(pcs),), (mask_after, depth_after, event_names),
-                   (ordinal,), (cycle_after,))
-            mask, depth, cycle, done = mask_after, depth_after, cycle_after, ordinal
+                cycle += issue * (ordinal - 1 - done)
+            cycle += prices[code]
+            yield ((next(pcs),), (mask_after, depth_after, _MOVE_NAMES[code]),
+                   (ordinal,), (cycle,))
+            mask, depth, done = mask_after, depth_after, ordinal
         yield pcs, (mask, depth, ()), count(done + 1), count(cycle + issue, issue)
 
     def __len__(self) -> int:
@@ -294,9 +394,11 @@ class Trace(Sequence):
 class RunResult:
     """Counters, stack-move log, and final state of one completed run.
 
-    ``moves`` holds ``(ordinal, events, token, active_after, depth, cycle)``
-    per token move and is the run's depth history; only a move changes the
-    mask, so the mask before it is the previous ``active_after`` (or launch).
+    ``moves`` is a :class:`MoveLog`, one packed 23-byte record per token
+    move, and is the run's depth history.  It reads as ``(ordinal, events,
+    token, active_after, depth, cycle)`` tuples, each cycle derived from
+    the run's prices.  Only a move changes the mask, so the mask before
+    it is the previous ``active_after`` (or launch).
     """
 
     events: CostEvents
@@ -306,7 +408,7 @@ class RunResult:
     max_depth: int
     registers: tuple[tuple, ...]
     slots: tuple[dict, ...]
-    moves: tuple[tuple, ...]
+    moves: MoveLog
     final_active_mask: int
     launch_mask: int
     trace: Union[Trace, None] = None
@@ -315,8 +417,9 @@ class RunResult:
     def event_log(self) -> tuple[EventRecord, ...]:
         """``moves`` as one :class:`EventRecord` per stack event; the benchmark replays it."""
         return tuple(EventRecord(ordinal, event, None, None) if event >= _SPILL_STORE else
-                     EventRecord(ordinal, event, token.mask, token.pc)
-                     for ordinal, events, token, _, _, _ in self.moves for event in events)
+                     EventRecord(ordinal, event, mask, pc)
+                     for ordinal, code, mask, pc in _EVENT_FIELDS.iter_unpack(self.moves.records)
+                     for event in _MOVE_EVENTS[code])
 
     @property
     def sync_pushes(self) -> int:
@@ -344,18 +447,6 @@ class RunResult:
         return _ZEROS if index == REG_RZ else self.registers[index]
 
 
-# Enum members as module globals for the per-instruction and per-event paths:
-# on CPython 3.11 an ``Opcode.X`` read goes through ``EnumType.__getattr__``
-# and costs about ten global reads.
-_SSY, _BRA, _NOP, _IADD, _FADD, _ISETP, _MOV, _CLOCK, _STSLOT, _EXIT = (
-    Opcode.SSY, Opcode.BRA, Opcode.NOP, Opcode.IADD, Opcode.FADD_IMM, Opcode.ISETP_LT,
-    Opcode.MOV, Opcode.CLOCK, Opcode.STORE_SLOT, Opcode.EXIT)
-_SYNC, _DIV = TokenKind.SYNC, TokenKind.DIV
-_DIV_PUSH, _SYNC_POP, _DIV_POP, _SPILL_STORE = (
-    StackEvent.DIV_PUSH, StackEvent.SYNC_POP, StackEvent.DIV_POP, StackEvent.SPILL_STORE)
-_EVENT_NAMES = tuple(event.name for event in StackEvent)  # trace labels, by StackEvent
-
-
 def step(state: WarpState, program: Program):
     """Execute one instruction; returns (stack events, the token moved) or ((), None).
 
@@ -365,18 +456,22 @@ def step(state: WarpState, program: Program):
     pc = state.pc
     if not 0 <= pc < len(program.instructions):
         raise ModelViolation(f"program counter {pc} out of range")
-    return _exec_one(state, program.instructions[pc])
+    code, token = _exec_one(state, program.instructions[pc])
+    return _NO_EVENTS if token is None else (_MOVE_EVENTS[code], token)
 
 
 def _exec_one(state: WarpState, ins: Instruction):
-    """Execute one instruction, then charge its issue and stack events to the clock.
+    """Execute one instruction and charge its price to the clock.
 
-    All control flow is here; :func:`_exec_plain` runs the lane-wise opcodes.
+    Returns (move code, the token moved), or (None, None) for an
+    instruction that moves no token.  All control flow is here;
+    :func:`_exec_plain` runs the lane-wise opcodes.
     """
     op = ins.opcode
     if op is _SSY:
         token = Token(state.active_mask, _SYNC, ins.target)
-        events = state.stack.push(token)
+        # The stack returns (SYNC_PUSH,) or (SPILL_STORE, SYNC_PUSH): code 0 or 2.
+        code = 2 * len(state.stack.push(token)) - 2
         state.pc += 1
     elif op is _BRA:  # a bare BRA reads PT; a partial branch parks the not-taken lanes at pc+1
         active = state.active_mask
@@ -384,9 +479,9 @@ def _exec_one(state: WarpState, ins: Instruction):
         if taken == 0 or taken == active:
             state.pc = ins.target if taken else state.pc + 1
             state.cycle += state._issue_cost
-            return _NO_EVENTS
+            return _NO_MOVE
         token = Token(active ^ taken, _DIV, state.pc + 1)
-        events = state.stack.push(token)
+        code = 2 * len(state.stack.push(token)) - 1  # DIV push, code 1 or 3 with a spill
         state.active_mask = taken
         state.pc = ins.target
     elif op is _EXIT:
@@ -401,9 +496,12 @@ def _exec_one(state: WarpState, ins: Instruction):
             )
         state.halted = True
         state.cycle += state._issue_cost
-        return _NO_EVENTS
+        return _NO_MOVE
     elif ins.pop_bit:
         token, events = state.stack.pop()
+        # The last event is SYNC_POP (2) or DIV_POP (3), after a SPILL_LOAD if any:
+        # code 4 + 2 * spill + DIV.
+        code = 2 * len(events) + events[-1]
         state.active_mask = token.mask
         state.pc = token.pc
         _exec_plain(state, ins)
@@ -411,12 +509,9 @@ def _exec_one(state: WarpState, ins: Instruction):
         _exec_plain(state, ins)
         state.pc += 1
         state.cycle += state._issue_cost
-        return _NO_EVENTS
-    cycles = state._issue_cost
-    for event in events:
-        cycles += state._event_cycles[event]
-    state.cycle += cycles
-    return events, token
+        return _NO_MOVE
+    state.cycle += state._prices[code]
+    return code, token
 
 
 def _exec_plain(state: WarpState, ins: Instruction) -> None:
@@ -547,12 +642,13 @@ def run(program: Program, launch: Union[LaunchConfig, None] = None, *,
         launch = LaunchConfig()
     state = WarpState(program, launch)
 
-    counts = [0] * len(StackEvent)
-    moves: list[tuple] = []
+    counts = [0] * len(_MOVE_EVENTS)  # by move code
+    records = bytearray()
+    pack = _RECORD.pack
     executed = 0
     branches = 0
+    depth = peak = 0
     instructions = program.instructions
-    stack = state.stack
     pcs: Union[list[int], None] = [] if record_trace else None
 
     while not state.halted:
@@ -562,26 +658,30 @@ def run(program: Program, launch: Union[LaunchConfig, None] = None, *,
             )
         pc = state.pc  # a Program keeps every target, and so every pc, in range
         ins = instructions[pc]
-        events, token = _exec_one(state, ins)
+        code, token = _exec_one(state, ins)
         executed += 1
         if ins.opcode is _BRA:
             branches += 1
 
-        if events:  # exactly one push or pop: the depth moves by one
-            for event in events:
-                counts[event] += 1
-            moves.append((executed, events, token, state.active_mask, stack.depth,
-                          state.cycle))
+        if token is not None:  # exactly one push or pop: the depth moves by one
+            counts[code] += 1
+            if code < 4:  # a push
+                depth += 1
+                if depth > peak:
+                    peak = depth
+            else:
+                depth -= 1
+            records += pack(executed, code, token.mask, token.pc, state.active_mask, depth)
         if record_trace:
             pcs.append(pc)
 
-    moves = tuple(moves)
+    moves = MoveLog(bytes(records), state._issue_cost, state._prices)
     return RunResult(
-        events=CostEvents(*counts),
+        events=CostEvents(*[counts[a] + counts[b] for a, b in _EVENT_CODES]),
         executed_instructions=executed,
         executed_branches=branches,
         cycles=state.cycle,
-        max_depth=max((move[4] for move in moves), default=0),
+        max_depth=peak,
         registers=tuple(_ZEROS if reg == 0 else tuple(unpack_row(reg))
                         for reg in state.regs[:-1]),
         slots=tuple(dict(s) for s in state.slots),
@@ -590,7 +690,7 @@ def run(program: Program, launch: Union[LaunchConfig, None] = None, *,
         launch_mask=state.launch_mask,
         trace=Trace(pcs, moves, tuple(ins.opcode.value + (".S" if ins.pop_bit else "")
                                       for ins in instructions),
-                    state.launch_mask, state._issue_cost) if record_trace else None,
+                    state.launch_mask) if record_trace else None,
     )
 
 
@@ -599,8 +699,9 @@ def verify_result(result: RunResult) -> RunResult:
 
     Checks push/pop and spill balance, a clean final state, the mask
     partition at every divergence, and full-mask restoration at every
-    SYNC pop.  Raises :class:`ModelViolation` on the first failure;
-    returns the result for chaining.
+    SYNC pop, all read off the packed move log.  The log's prices must
+    also give the run's cycle count.  Raises :class:`ModelViolation` on
+    the first failure; returns the result for chaining.
     """
     events = result.events
     if events.pushes != events.pops:
@@ -612,31 +713,39 @@ def verify_result(result: RunResult) -> RunResult:
     if result.final_active_mask != result.launch_mask:
         raise ModelViolation("run ended without full re-convergence")
 
-    depth = peak = 0
+    moves = result.moves
+    prices = moves.prices
+    depth = peak = spent = 0
     before = result.launch_mask
-    for _, moved, token, after, cur, _ in result.moves:
+    for code, token_mask, after, cur in _AUDIT_FIELDS.iter_unpack(moves.records):
         if cur != depth + 1 and cur != depth - 1:
             raise ModelViolation(f"depth history jumps from {depth} to {cur}")
         depth = cur
         if depth > peak:
             peak = depth
-        for kind in moved:
-            if kind is _DIV_PUSH:
-                if token.mask == 0:
-                    raise ModelViolation("DIV token with empty mask")
-                if token.mask & after:
-                    raise ModelViolation("DIV token overlaps the surviving active mask")
-                if (token.mask | after) != before:
-                    raise ModelViolation("divergence does not partition the active mask")
-            elif kind is _SYNC_POP or kind is _DIV_POP:
-                if after != token.mask:
-                    raise ModelViolation("pop did not restore the token mask")
+        spent += prices[code]
+        if code >= 4:  # a pop
+            if after != token_mask:
+                raise ModelViolation("pop did not restore the token mask")
+        elif code & 1:  # a DIV push
+            if token_mask == 0:
+                raise ModelViolation("DIV token with empty mask")
+            if token_mask & after:
+                raise ModelViolation("DIV token overlaps the surviving active mask")
+            if (token_mask | after) != before:
+                raise ModelViolation("divergence does not partition the active mask")
         before = after
     if depth != 0:
         raise ModelViolation("depth history must start and end at depth 0")
     # A +-1 walk from depth 0 back to 0 has as many ups as downs, and pushes == pops.
-    if len(result.moves) != events.pushes + events.pops:
+    if len(moves) != events.pushes + events.pops:
         raise ModelViolation("depth history inconsistent with push/pop counters")
     if peak != result.max_depth:
         raise ModelViolation("max_depth inconsistent with depth history")
+    # The last move's cycle plus the issue cost of each later instruction: each
+    # move costs its price and every other instruction the issue cost.
+    logged = spent + moves.issue_cost * (result.executed_instructions - len(moves))
+    if logged != result.cycles:
+        raise ModelViolation(f"cycles inconsistent with the move log: the log's prices "
+                             f"give {logged}, the run counted {result.cycles}")
     return result

@@ -242,9 +242,16 @@ def _err(i: int, ins: Instruction, message: str) -> ProgramError:
 
 def _check_instruction(i: int, ins: Instruction, length: int, regs: int, preds: int) -> None:
     """Check one instruction against its :data:`SPECS` row."""
+    if type(ins.opcode) is not Opcode:
+        exc = ProgramError(f"instruction {i}: opcode={ins.opcode!r} is not an Opcode")
+        exc.index = i
+        raise exc
     spec = SPECS[ins.opcode]
-    if ins.pop_bit and not spec.pop:
-        raise _err(i, ins, "pop-bit not allowed on this opcode")
+    if ins.pop_bit is not False:
+        if ins.pop_bit is not True:
+            raise _err(i, ins, f"pop_bit={ins.pop_bit!r} is not a bool")
+        if not spec.pop:
+            raise _err(i, ins, "pop-bit not allowed on this opcode")
     if ins.pred is not None and not spec.pred:
         raise _err(i, ins, "predication not allowed on this opcode")
     for name in spec.unused:
@@ -286,6 +293,8 @@ def _check_instruction(i: int, ins: Instruction, length: int, regs: int, preds: 
         elif shape == "f32":
             if not isinstance(value, float):
                 raise _err(i, ins, "needs a float immediate")
+            if type(value) is not float:  # a subclass, such as a numpy scalar
+                raise _err(i, ins, f"{name}={value!r} is not a float")
             if f32(value) != value:
                 raise _err(i, ins, f"immediate {value!r} is not float32-exact")
 

@@ -1,5 +1,6 @@
 """Warp interpreter semantics: branching, pop-bit, masking, errors."""
 
+import dataclasses
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 
 import warpsim as ws
 from warpsim import core
-from warpsim.core import WarpState, step, unpack_row
+from warpsim.core import MoveLog, WarpState, step, unpack_row
 from warpsim.errors import ModelViolation, ProgramError, RunawayLoopError
 from warpsim.stack import StackEvent, Token, TokenKind
 
@@ -506,8 +507,6 @@ class TestVerifyResult:
                     ws.kernel_launch("single", ws.bound_pattern(17).bounds))
 
     def test_rejects_tampered_results(self):
-        import dataclasses
-
         result = ws.run(ws.kernel_program("single"),
                         ws.kernel_launch("single", ws.bound_pattern(3).bounds))
         bad = dataclasses.replace(result, max_depth=result.max_depth + 1)
@@ -552,17 +551,58 @@ class TestVerifyResult:
     ], ids=["jump", "end-depth", "counters", "empty-div", "overlap", "partition", "sync-pop",
             "div-pop"])
     def test_rejects_a_tampered_move_log(self, message, tamper):
-        import dataclasses
-
         result = ws.verify_result(ws.run(ws.kernel_program("single"),
                                          ws.kernel_launch("single", ws.bound_pattern(3).bounds)))
-        bad = dataclasses.replace(result, moves=tamper(result.moves))
+        bad = dataclasses.replace(result, moves=packed(tamper(tuple(result.moves)), result.moves))
         assert bad.moves != result.moves
         with pytest.raises(ModelViolation, match=message):
             ws.verify_result(bad)
 
+    @pytest.mark.parametrize("program,launch", [
+        (ws.kernel_program("single"),
+         ws.kernel_launch("single", ws.bound_pattern(9).bounds, SMALL_STACK)),
+        (ws.parse_program("NOP\nMOV R1, 3\nEXIT"),
+         ws.LaunchConfig(profile=dataclasses.replace(ws.KEPLER, issue_cost=7))),
+    ], ids=["spilling-kernel", "no-moves"])
+    def test_rejects_a_cycle_count_the_move_log_does_not_give(self, program, launch):
+        result = ws.verify_result(ws.run(program, launch))
+        if not result.moves:  # every instruction costs the issue cost
+            assert result.cycles == 3 * 7
+        bad = dataclasses.replace(result, cycles=result.cycles + 1)
+        with pytest.raises(ModelViolation) as err:
+            ws.verify_result(bad)
+        assert str(err.value) == (f"cycles inconsistent with the move log: the log's prices "
+                                  f"give {result.cycles}, the run counted {result.cycles + 1}")
+
+
+def test_a_move_log_packs_back_from_the_tuples_it_reads_as():
+    moves = ws.run(ws.kernel_program("single"),
+                   ws.kernel_launch("single", ws.bound_pattern(9).bounds, SMALL_STACK)).moves
+    assert len(moves.records) == 23 * len(moves) and moves.prices[7] == 1 + 31 + 44
+    assert packed(list(moves), moves) == moves
+    with pytest.raises(IndexError):
+        moves[len(moves)]
+
+
+@pytest.mark.parametrize("profile", [ws.KEPLER, SMALL_STACK, dataclasses.replace(
+    SMALL_STACK, name="dear-issue", issue_cost=50)], ids=lambda profile: profile.name)
+def test_move_prices_are_the_issue_cost_plus_the_live_cycles_of_each_event(profile):
+    state, _ = fresh_state(profile=profile)
+    live = profile.live_event_cycles
+    assert state._prices == tuple(profile.issue_cost + sum(live[event] for event in events)
+                                  for events in core._MOVE_EVENTS)
+
 
 MOVE_FIELDS = ("ordinal", "events", "token", "active_after", "depth", "cycle")
+
+
+def packed(moves, like):
+    """``(ordinal, events, token, active_after, depth, cycle)`` tuples as a MoveLog
+    with the prices of ``like``; a cycle that the prices do not give is lost."""
+    return MoveLog(b"".join(
+        core._RECORD.pack(ordinal, core._MOVE_EVENTS.index(events), token.mask, token.pc,
+                          after, depth)
+        for ordinal, events, token, after, depth, _ in moves), like.issue_cost, like.prices)
 
 
 def _edit_first(moves, kind, field, edit):

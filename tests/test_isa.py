@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 import warpsim as ws
@@ -451,4 +452,18 @@ def test_register_and_predicate_index_errors_on_canonical_and_padded_names(
         parse, name, size, message):
     with pytest.raises(ProgramError) as err:
         parse(name, size)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("ins,message", [
+    (isa.Instruction("NOP"), "instruction 0: opcode='NOP' is not an Opcode"),
+    (isa.Instruction(ws.Opcode.NOP, pop_bit="no"),
+     "instruction 0 (NOP): pop_bit='no' is not a bool"),
+    (isa.Instruction(ws.Opcode.NOP, pop_bit=1), "instruction 0 (NOP): pop_bit=1 is not a bool"),
+    (isa.Instruction(ws.Opcode.FADD_IMM, dst=1, src_a=0, imm=np.float64(0.5)),
+     f"instruction 0 (FADD32I): imm={np.float64(0.5)!r} is not a float"),
+], ids=["opcode-str", "pop-bit-str", "pop-bit-int", "f32-numpy"])
+def test_opcode_pop_bit_and_float_immediate_must_have_their_exact_types(ins, message):
+    with pytest.raises(ProgramError) as err:
+        _program_of(ins)
     assert str(err.value) == message

@@ -60,9 +60,16 @@ def assert_views_match_reference(program, launch):
     assert moves  # every program under test moves the stack
     for record_trace in (False, True):
         result = checked_run(program, launch, record_trace=record_trace)
-        assert result.moves == moves
+        assert result.moves == moves and result.moves == list(moves)
+        assert tuple(result.moves) == moves and len(result.moves) == len(moves)
+        assert tuple(reversed(result.moves)) == moves[::-1]
+        for i in {0, 1, len(moves) // 2, len(moves) - 1, -1, -len(moves)} - {len(moves)}:
+            assert result.moves[i] == moves[i]
+        assert result.moves[1::3] == moves[1::3] and result.moves[:-1] == moves[:-1]
         assert result.event_log == log
         assert result.max_depth == max(move[4] for move in moves)
+        assert result.cycles == (moves[-1][5] + launch.profile.issue_cost
+                                 * (result.executed_instructions - moves[-1][0]))
 
 
 def assert_trace_matches_reference(program, launch):
@@ -127,12 +134,9 @@ def test_traced_event_free_loop_stays_under_16_bytes_per_instruction():
     assert peak < 16 * budget
 
 
-def test_untraced_push_pop_loop_stays_under_206_bytes_per_instruction():
-    # Every instruction moves a token, so each one adds an entry to the move log.
-    # The peak reads 196.6 B per instruction in a fresh process and 193.1 B once
-    # CPython's 6-tuple free list holds its 2000 spare tuples from an earlier run.
-    program = ws.parse_program("top: SSY top\nNOP.S\nEXIT")
-    budget = 50_000
+def untraced_peak_per_instruction(source, budget):
+    """tracemalloc's peak, per instruction, of a run that ends at its budget."""
+    program = ws.parse_program(source)
     tracemalloc.start()
     try:
         with pytest.raises(ws.RunawayLoopError):
@@ -140,7 +144,44 @@ def test_untraced_push_pop_loop_stays_under_206_bytes_per_instruction():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 206 * budget
+    return peak / budget
+
+
+def test_untraced_push_pop_loop_stays_under_32_bytes_per_instruction():
+    # Every instruction moves a token, so each one adds a 23-byte record to the
+    # move log; the peak reads 23.4 B per instruction (196.6 B with a tuple per move).
+    assert untraced_peak_per_instruction("top: SSY top\nNOP.S\nEXIT", 50_000) < 32
+
+
+def test_untraced_counted_push_pop_loop_stays_under_16_bytes_per_instruction():
+    # Two moves in every four instructions: the peak reads 11.8 B per
+    # instruction (97.1 B with a tuple per move).
+    source = "MOV R1, 0\ntop: SSY j\nIADD R1, R1, 1\nNOP.S\nj: BRA top\nEXIT"
+    assert untraced_peak_per_instruction(source, 200_000) < 16
+
+
+HUGE = dataclasses.replace(SPILLING, name="huge", div_cost=10**30, spill_store_cost=10**30,
+                           spill_load_cost=10**30, issue_cost=10**30)
+
+
+@pytest.mark.parametrize("n", [5, 31])
+@pytest.mark.parametrize("kernel", [kernel.value for kernel in ws.KernelId])
+def test_huge_costs_give_exact_move_and_trace_cycles(kernel, n):
+    # The move log derives its cycles from the prices; an int64 cycle would overflow.
+    program = ws.kernel_program(kernel)
+    launch = ws.kernel_launch(kernel, ws.bound_pattern(n).bounds, HUGE)
+    moves, _ = reference_views(program, launch)
+    rows = reference_trace(program, launch)
+    result = checked_run(program, launch, record_trace=True)
+    assert result.spill_stores > 0
+    assert [move[5] for move in result.moves] == [move[5] for move in moves]
+    assert [row.cycle for row in result.trace] == [row.cycle for row in rows]
+    assert result.cycles == rows[-1].cycle > 2**100
+    if kernel == "single-instrumented":  # CLOCK reads the counter at issue
+        clocks = [row.cycle - HUGE.issue_cost for row in rows if row.opcode == "CLOCK"]
+        assert clocks and min(clocks) > 2**64
+        low = clocks[-1] & 0xFFFFFFFF  # join: CLOCK R6 / STSLOT [33], R6, as an int32
+        assert result.slots[0][33] == low - (low >> 31 << 32)
 
 
 def test_trace_reads_as_a_sequence_of_records():
