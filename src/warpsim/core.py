@@ -23,13 +23,16 @@ A register row takes one of two forms.  While every lane holds an int
 it is one packed Python ``int``: lane t sits in bits 64t..64t+31 as a
 uint32 two's-complement value and the upper 32 bits of each field stay
 zero, so ``IADD``, ``ISETP.LT``, ``MOV``, ``CLOCK`` and masked writes
-are a few big-int operations on all 32 lanes at once (SWAR, "SIMD
+are a few big-int operations on all lanes at once (SWAR, "SIMD
 within a register").  A row in which some lane holds a float is a
-``list`` of 32 lane values.  Rows are unpacked to lane values only by
+``list`` of lane values.  Rows are unpacked to lane values only by
 ``STSLOT``, by ``FADD32I`` reading an int row, by a masked write that
 mixes the two forms, by ``IADD`` and ``ISETP.LT`` when an operand row is
 a list, and for :attr:`RunResult.registers`.
 
+No instruction reads a lane id, so :func:`run` runs one lane per class of
+identical launch lanes (:func:`_fold`) and expands each move's masks, then
+the results, to lanes; :class:`WarpState` and :func:`step` keep 32 lanes.
 A run is a pure function of (program, launch, profile); equal inputs
 give bit-identical results.
 
@@ -54,6 +57,7 @@ from __future__ import annotations
 
 import operator
 import struct
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import count, islice
@@ -75,15 +79,23 @@ _BIAS = 0x80000000
 _ZEROS = (0,) * WARP_SIZE
 _NO_EVENTS: tuple = ((), None)  # step's (events, token) of an instruction that moves no token
 _NO_MOVE: tuple = (None, None)  # _exec_one's (move code, token) of one that moves no token
-_PACK32 = struct.Struct(f"<{WARP_SIZE}f")
 
-# Packed rows: 64-bit lane fields, value in the low 32 bits (see the module docstring).
-_LANES = struct.Struct("<" + "i4x" * WARP_SIZE)  # packed row bytes <-> int32 lane values
-_ROW_BYTES = _LANES.size
-_ONES = sum(1 << 64 * t for t in range(WARP_SIZE))  # 1 in every lane field
-_LOW = _MASK32 * _ONES                               # the 32 value bits of every field
-_SIGN = _BIAS * _ONES                                # the sign bit of every field
-_HIGH = _ONES << 32                                  # bit 32 of every field
+
+class _Width:
+    """The constants of k-lane rows (see the module docstring): the all-lanes mask; a 1,
+    the value bits, sign bit and bit 32 of each field; row bytes; int32 and float32 structs."""
+
+    def __init__(self, k: int):
+        ones = sum(1 << 64 * t for t in range(k))
+        self.size, self.full, self.ones, self.low, self.sign, self.high, self.row_bytes = (
+            k, (1 << k) - 1, ones, _MASK32 * ones, _BIAS * ones, ones << 32, 8 * k)
+        self.lanes, self.f32 = struct.Struct("<" + "i4x" * k), struct.Struct(f"<{k}f")
+
+
+# CPython 3.11 keeps up to 2,000 freed 20-tuples (400 KB) and reuses none: 20 classes run 21 lanes.
+_WIDTHS = tuple(_Width(k + (k == 20)) for k in range(WARP_SIZE + 1))  # by class count
+_W32 = _WIDTHS[WARP_SIZE]
+_UNIT_MASKS = tuple(1 << t for t in range(WARP_SIZE))  # classes of a 32-lane state: lane t alone
 # Field mask of the 8 lanes of one mask byte; four lookups build any lane mask.
 _FIELD_BYTE = tuple(sum(_MASK32 << 64 * i for i in range(8) if b >> i & 1) for b in range(256))
 # ISETP.LT difference byte: 1 (no borrow) means a >= b, so digit "0".
@@ -104,17 +116,17 @@ def lanes(mask: int) -> tuple[int, ...]:
     return cached
 
 
-def unpack_row(row) -> Sequence:
-    """The 32 lane values of a register row: a tuple for a packed row, else the row itself."""
+def unpack_row(row, width: _Width = _W32) -> Sequence:
+    """The lane values of a register row: a tuple for a packed row, else the row itself."""
     if type(row) is int:
-        return _LANES.unpack(row.to_bytes(_ROW_BYTES, "little"))
+        return width.lanes.unpack(row.to_bytes(width.row_bytes, "little"))
     return row
 
 
-def _row(values: list):
+def _row(values: list, width: _Width):
     """A list of lane values as a register row: packed unless some lane holds a float."""
     try:
-        return int.from_bytes(_LANES.pack(*values), "little")
+        return int.from_bytes(width.lanes.pack(*values), "little")
     except struct.error:  # a float lane
         return values
 
@@ -124,6 +136,11 @@ def _field_mask(mask: int) -> int:
     table = _FIELD_BYTE
     return (table[mask & 255] | table[mask >> 8 & 255] << 512
             | table[mask >> 16 & 255] << 1024 | table[mask >> 24] << 1536)
+
+
+def _widen(members: Sequence[int], mask: int) -> int:
+    """The lane mask of a class mask (``members[c]``: the lanes of class c)."""
+    return sum(members[c] for c in lanes(mask))
 
 
 def _wrap32(value: int) -> int:
@@ -145,10 +162,10 @@ class LaunchConfig:
 
 
 class WarpState:
-    """Mutable execution state of one simulated warp."""
+    """Mutable state of one warp; lane c stands for the launch lanes ``members[c]``."""
 
-    __slots__ = ("pc", "active_mask", "launch_mask", "regs", "preds", "stack",
-                 "cycle", "halted", "slots", "_issue_cost", "_prices")
+    __slots__ = ("pc", "active_mask", "launch_mask", "regs", "preds", "stack", "cycle",
+                 "halted", "slots", "width", "members", "_issue_cost", "_prices")
 
     def __init__(self, program: Program, launch: LaunchConfig):
         if type(launch.active_mask) is not int:
@@ -174,6 +191,7 @@ class WarpState:
         self.cycle = 0
         self.halted = False
         self.slots: list[dict[int, Union[int, float]]] = [{} for _ in range(WARP_SIZE)]
+        self.width, self.members = _W32, _UNIT_MASKS
         self._issue_cost = issue = launch.profile.issue_cost
         sync_push, div_push, sync_pop, div_pop, store, load = launch.profile.live_event_cycles
         # By move code, the events of _MOVE_EVENTS: SYNC and DIV pushes, the same
@@ -190,12 +208,12 @@ def _launch_row(name: str, values: Sequence) -> Union[int, list]:
     if len(values) != WARP_SIZE:
         raise ProgramError(f"launch register {name} needs {WARP_SIZE} values, got {len(values)}")
     try:
-        return int.from_bytes(_LANES.pack(*values), "little")  # all int32 integers
+        return int.from_bytes(_W32.lanes.pack(*values), "little")  # all int32 integers
     except struct.error:  # a lane that is no integer, or outside int32
         pass
     try:
         if {*map(type, values)} == {float}:
-            row = list(_PACK32.unpack(_PACK32.pack(*values)))
+            row = list(_W32.f32.unpack(_W32.f32.pack(*values)))
         else:
             row = [_launch_value(name, value) for value in values]
     except OverflowError:
@@ -491,9 +509,8 @@ def _exec_one(state: WarpState, ins: Instruction):
             )
         if state.active_mask != state.launch_mask:
             raise ModelViolation(
-                f"EXIT with active mask {state.active_mask:#010x}, "
-                f"expected launch mask {state.launch_mask:#010x}"
-            )
+                f"EXIT with active mask {_widen(state.members, state.active_mask):#010x}, "
+                f"expected launch mask {_widen(state.members, state.launch_mask):#010x}")
         state.halted = True
         state.cycle += state._issue_cost
         return _NO_MOVE
@@ -524,55 +541,57 @@ def _exec_plain(state: WarpState, ins: Instruction) -> None:
         return
     regs = state.regs
     active = state.active_mask
+    width = state.width
 
     if op is _IADD:
         xs = regs[ins.src_a]
         ys = ins.imm if ins.src_b is None else regs[ins.src_b]
         if type(xs) is int and type(ys) is int:
             if ins.src_b is None:
-                ys = (ys & _MASK32) * _ONES
-            values = (xs + ys) & _LOW  # no carry leaves a 64-bit field
+                ys = (ys & _MASK32) * width.ones
+            values = (xs + ys) & width.low  # no carry leaves a 64-bit field
         else:  # a float has no integer bits to wrap; only active lanes count
-            xs = unpack_row(xs)
-            ys = (ys,) * WARP_SIZE if ins.src_b is None else unpack_row(ys)
-            values = [0] * WARP_SIZE
+            xs = unpack_row(xs, width)
+            ys = (ys,) * width.size if ins.src_b is None else unpack_row(ys, width)
+            values = [0] * width.size
             for t in lanes(active):
                 if type(xs[t]) is float or type(ys[t]) is float:
                     raise ModelViolation(
                         "IADD of a float register value; IADD adds integers")
                 values[t] = _wrap32(xs[t] + ys[t])
-            values = _row(values)
+            values = _row(values, width)
     elif op is _FADD:
         imm = ins.imm
         # Sums are exact in double precision, then rounded once to
         # float32, which equals a correctly rounded float32 addition.
         xs = regs[ins.src_a]
         if type(xs) is int:
-            xs = unpack_row(xs)
+            xs = unpack_row(xs, width)
         try:
-            values = list(_PACK32.unpack(_PACK32.pack(*[x + imm for x in xs])))
+            values = list(width.f32.unpack(width.f32.pack(*[x + imm for x in xs])))
         except OverflowError:  # only active lanes must stay in float32 range
-            values = [0] * WARP_SIZE
+            values = [0] * width.size
             for t in lanes(active):
                 try:
                     values[t] = isa.f32(xs[t] + imm)
                 except OverflowError:
-                    raise ModelViolation(f"FADD32I result {xs[t] + imm!r} in lane {t} "
-                                         "is outside the float32 range") from None
+                    raise ModelViolation(f"FADD32I result {xs[t] + imm!r} in lane "
+                                         f"{lanes(state.members[t])[0]} is outside the "
+                                         "float32 range") from None
     elif op is _ISETP:
         va = regs[ins.src_a]
         vb = ins.imm if ins.src_b is None else regs[ins.src_b]
         if type(va) is int and type(vb) is int:
             if ins.src_b is None:
-                vb = ((vb + _BIAS) & _MASK32) * _ONES
+                vb = ((vb + _BIAS) & _MASK32) * width.ones
             else:
-                vb ^= _SIGN
+                vb ^= width.sign
             # Per field, biased a + 2**32 - biased b borrows from bit 32 iff a < b.
-            diff = ((va ^ _SIGN) | _HIGH) - vb
-            mask = int(diff.to_bytes(_ROW_BYTES, "big")[3::8].translate(_LT_DIGITS), 2) & active
+            diff = ((va ^ width.sign) | width.high) - vb
+            mask = int(diff.to_bytes(width.row_bytes, "big")[3::8].translate(_LT_DIGITS), 2) & active
         else:
-            va = unpack_row(va)
-            vb = (vb,) * WARP_SIZE if ins.src_b is None else unpack_row(vb)
+            va = unpack_row(va, width)
+            vb = (vb,) * width.size if ins.src_b is None else unpack_row(vb, width)
             mask = 0
             for t in lanes(active):
                 if va[t] < vb[t]:
@@ -583,23 +602,23 @@ def _exec_plain(state: WarpState, ins: Instruction) -> None:
         return
     elif op is _MOV:
         if ins.src_a is None:
-            values = (ins.imm & _MASK32) * _ONES
+            values = (ins.imm & _MASK32) * width.ones
         else:
             values = regs[ins.src_a]
             if type(values) is not int:
                 values = list(values)
     elif op is _CLOCK:
-        values = (state.cycle & _MASK32) * _ONES
+        values = (state.cycle & _MASK32) * width.ones
     elif op is _STSLOT:
-        source = unpack_row(regs[ins.src_a])
+        source = unpack_row(regs[ins.src_a], width)
         slots = state.slots
         if ins.slot_reg is not None:
-            indices = unpack_row(regs[ins.slot_reg])
+            indices = unpack_row(regs[ins.slot_reg], width)
             for t in lanes(active):
                 index = indices[t]
                 if type(index) is not int or index < 0:
-                    raise ModelViolation(
-                        f"STSLOT slot index {index!r} in lane {t} is not an integer >= 0")
+                    raise ModelViolation(f"STSLOT slot index {index!r} in lane "
+                                         f"{lanes(state.members[t])[0]} is not an integer >= 0")
                 slots[t][index] = source[t]
         else:
             slot = ins.slot
@@ -613,7 +632,7 @@ def _exec_plain(state: WarpState, ins: Instruction) -> None:
     dst = ins.dst
     if dst == REG_RZ:
         return
-    if active == FULL_MASK:
+    if active == width.full:
         regs[dst] = values
         return
     reg = regs[dst]
@@ -621,11 +640,42 @@ def _exec_plain(state: WarpState, ins: Instruction) -> None:
         regs[dst] = reg ^ ((reg ^ values) & _field_mask(active))
         return
     if type(reg) is int or type(values) is int:  # the forms mix: write lane by lane
-        reg = list(unpack_row(reg))
-        values = unpack_row(values)
+        reg = list(unpack_row(reg, width))
+        values = unpack_row(values, width)
     for t in lanes(active):
         reg[t] = values[t]
-    regs[dst] = reg if op is _FADD else _row(reg)  # FADD32I leaves a float lane
+    regs[dst] = reg if op is _FADD else _row(reg, width)  # FADD32I leaves a float lane
+
+
+def _fold(state: WarpState) -> Union[list[int], None]:
+    """Fold a fresh state to one lane per class of identical launch lanes, numbered
+    by their lowest lane; return each lane's class, or None if all 32 lanes differ."""
+    regs = state.regs
+    launched = [index for index, row in enumerate(regs) if row]
+    # Equal lanes have equal fingerprints: the mask and the rows, XORed field by field.
+    fingerprint = _field_mask(state.launch_mask)
+    for n, row in enumerate(map(regs.__getitem__, launched)):
+        fingerprint ^= (row << 32 * (n & 1) if type(row) is int
+                        else int.from_bytes(array("d", row).tobytes(), "little"))
+    if len(set(memoryview(fingerprint.to_bytes(_W32.row_bytes, "little")).cast("Q"))) == WARP_SIZE:
+        return None
+    # A lane's key: its mask bit and values (repr tells 0.0 from -0.0, and 1 from 1.0).
+    keys = list(zip(f"{state.launch_mask:032b}"[::-1], *[
+        unpack_row(row) if type(row) is int else map(repr, row)
+        for row in map(regs.__getitem__, launched)]))
+    classes: dict = {}  # key -> the lanes of its class
+    for key, lane in zip(keys, _UNIT_MASKS):
+        classes[key] = classes.get(key, 0) | lane
+    lanes_of = list(map(dict(zip(classes, range(len(classes)))).__getitem__, keys))
+    state.width = width = _WIDTHS[len(classes)]
+    spare = [0] * (width.size - len(classes))  # lanes that stand for no launch lane
+    for index in launched:  # a class's lanes hold equal values: keep one
+        regs[index] = _row([*dict(zip(lanes_of, unpack_row(regs[index]))).values(), *spare], width)
+    state.members = members = list(classes.values()) + spare
+    state.active_mask = state.launch_mask = sum(
+        1 << c for c, mask in enumerate(members) if mask & state.launch_mask)
+    del state.slots[len(members):]
+    return lanes_of
 
 
 def run(program: Program, launch: Union[LaunchConfig, None] = None, *,
@@ -641,6 +691,9 @@ def run(program: Program, launch: Union[LaunchConfig, None] = None, *,
     if launch is None:
         launch = LaunchConfig()
     state = WarpState(program, launch)
+    lanes_of = _fold(state)
+    widen = None if lanes_of is None else dict(zip(_UNIT_MASKS, state.members))  # class mask -> lanes
+    wide = launch.active_mask  # the active lanes, under a fold
 
     counts = [0] * len(_MOVE_EVENTS)  # by move code
     records = bytearray()
@@ -671,26 +724,37 @@ def run(program: Program, launch: Union[LaunchConfig, None] = None, *,
                     peak = depth
             else:
                 depth -= 1
-            records += pack(executed, code, token.mask, token.pc, state.active_mask, depth)
+            if widen is None:  # all lanes differ: a class mask is a lane mask
+                mask, after = token.mask, state.active_mask
+            elif code >= 4:  # a pop restores its token's lanes, noted at its push
+                mask = after = wide = widen[token.mask]
+            elif code & 1:  # a DIV push parks its token's lanes
+                mask = widen.get(token.mask) or widen.setdefault(
+                    token.mask, _widen(state.members, token.mask))
+                after = wide = wide ^ mask
+            else:  # a SYNC push keeps the active lanes in its token
+                mask = after = widen[token.mask] = wide
+            records += pack(executed, code, mask, token.pc, after, depth)
         if record_trace:
             pcs.append(pc)
 
     moves = MoveLog(bytes(records), state._issue_cost, state._prices)
+    expand = tuple if lanes_of is None else operator.itemgetter(*lanes_of)  # classes -> lanes
     return RunResult(
         events=CostEvents(*[counts[a] + counts[b] for a, b in _EVENT_CODES]),
         executed_instructions=executed,
         executed_branches=branches,
         cycles=state.cycle,
         max_depth=peak,
-        registers=tuple(_ZEROS if reg == 0 else tuple(unpack_row(reg))
+        registers=tuple(_ZEROS if reg == 0 else expand(unpack_row(reg, state.width))
                         for reg in state.regs[:-1]),
-        slots=tuple(dict(s) for s in state.slots),
+        slots=tuple(map(dict, expand(state.slots))),
         moves=moves,
-        final_active_mask=state.active_mask,
-        launch_mask=state.launch_mask,
+        final_active_mask=state.active_mask if widen is None else wide,
+        launch_mask=launch.active_mask,
         trace=Trace(pcs, moves, tuple(ins.opcode.value + (".S" if ins.pop_bit else "")
                                       for ins in instructions),
-                    state.launch_mask) if record_trace else None,
+                    launch.active_mask) if record_trace else None,
     )
 
 

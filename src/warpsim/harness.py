@@ -19,7 +19,6 @@ trace's pc log and move log, without building a record per instruction.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import asdict, dataclass
 from math import ceil
@@ -271,16 +270,13 @@ def format_compare_report(report: CompareReport) -> str:
 def write_sweep(rows: Sequence[SweepRow], sink, fmt: str = "csv") -> None:
     """Serialize sweep rows as CSV (default) or JSON lines."""
     if fmt == "csv":
-        writer = csv.writer(sink, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for row in rows:
-            writer.writerow([
-                row.n, row.kernel, row.arch, row.div_pushes, row.total_pushes,
-                row.max_depth, row.spill_stores, row.extra_branches,
-                row.predicted_cycles,
-                "" if row.oracle_cycles is None else row.oracle_cycles,
-                "" if row.diff is None else row.diff,
-            ])
+        # csv.writer's bytes: no field holds a comma, quote or line break.
+        sink.write(",".join(CSV_HEADER) + "\n")
+        sink.writelines("%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s\n" % (
+            row.n, row.kernel, row.arch, row.div_pushes, row.total_pushes, row.max_depth,
+            row.spill_stores, row.extra_branches, row.predicted_cycles,
+            "" if row.oracle_cycles is None else row.oracle_cycles,
+            "" if row.diff is None else row.diff) for row in rows)
     elif fmt == "jsonl":
         for row in rows:
             sink.write(json.dumps(asdict(row)) + "\n")
