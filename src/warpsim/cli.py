@@ -38,7 +38,7 @@ def _budget(text: str) -> int:
     return budget
 
 
-def _add_common(parser, *, kernel_only=False, needs_n=False, needs_range=False):
+def _add_common(parser, *, kernel_only=False):
     if kernel_only:
         parser.add_argument("--kernel", required=True, choices=_KERNEL_CHOICES)
     else:
@@ -50,12 +50,12 @@ def _add_common(parser, *, kernel_only=False, needs_n=False, needs_range=False):
     arch = parser.add_mutually_exclusive_group()
     arch.add_argument("--arch", default=None, help="built-in profile name (default kepler)")
     arch.add_argument("--profile-file", metavar="FILE", help="key=value profile file")
-    if needs_n:
-        parser.add_argument("--n", type=int, default=None,
-                            help="divergent-thread count for built-in kernels (0..31)")
-    if needs_range:
+    if kernel_only:
         parser.add_argument("--n-range", metavar="A..B", default=None,
                             help="inclusive sweep range inside 0..31 (default 0..31)")
+    else:
+        parser.add_argument("--n", type=int, default=None,
+                            help="divergent-thread count for built-in kernels (0..31)")
     parser.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
                         help="instruction budget before a runaway-loop error")
     parser.add_argument("--out", metavar="FILE", default=None, help="write output here instead of stdout")
@@ -69,20 +69,20 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one simulation and print its counters")
-    _add_common(p_run, needs_n=True)
+    _add_common(p_run)
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="sweep n over a kernel and emit rows")
-    _add_common(p_sweep, kernel_only=True, needs_range=True)
+    _add_common(p_sweep, kernel_only=True)
     p_sweep.add_argument("--format", choices=["csv", "jsonl"], default="csv")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_cmp = sub.add_parser("compare", help="sweep and check against the closed-form oracles")
-    _add_common(p_cmp, kernel_only=True, needs_range=True)
+    _add_common(p_cmp, kernel_only=True)
     p_cmp.set_defaults(func=cmd_compare)
 
     p_trace = sub.add_parser("trace", help="run once and emit the instruction-level trace")
-    _add_common(p_trace, needs_n=True)
+    _add_common(p_trace)
     p_trace.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
     p_trace.set_defaults(func=cmd_trace)
 

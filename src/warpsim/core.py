@@ -268,30 +268,24 @@ _TRACE_FIELDS = struct.Struct("<qB8xIH")    # ordinal, code, active after, depth
 _EVENT_FIELDS = struct.Struct("<qBII6x")    # ordinal, code, token mask, token pc
 
 
-class MoveLog(Sequence):
+@dataclass(frozen=True, slots=True)
+class MoveLog:
     """The stack moves of one run, one packed 23-byte record per move.
 
     A record holds the instruction's ordinal, the move code (4 for a pop,
     plus 2 for a spill, plus 1 for a DIV token), the moved token's mask
-    and pc, and the active mask and depth after the move.  The cycle
-    after a move is not stored: it is the previous move's (at first 0),
-    plus ``issue_cost`` for each instruction between the two, plus the
-    move's own price, ``prices[code]``.  So it stays an exact int for any
-    costs.
-
-    The log reads as a sequence of ``(ordinal, events, token,
-    active_after, depth, cycle)`` tuples, decoded on each read; an index
-    or a slice decodes from the start.  Two logs are equal when their
-    bytes and prices are; a log equals a tuple or list of the tuples it
-    reads as.
+    and pc, and the active mask and depth after the move.  A move's cycle
+    is derived, not stored: the previous move's (at first 0), plus
+    ``issue_cost`` per instruction between the two, plus ``prices[code]``;
+    so it stays an exact int for any costs.  The log iterates as
+    ``(ordinal, events, token, active_after, depth, cycle)`` tuples,
+    decoded as they are read, has a length, and equals another log with
+    the same bytes and prices.
     """
 
-    __slots__ = ("records", "issue_cost", "prices")
-
-    def __init__(self, records: bytes, issue_cost: int, prices: tuple[int, ...]):
-        self.records = records
-        self.issue_cost = issue_cost
-        self.prices = prices  # by move code
+    records: bytes = field(repr=False)
+    issue_cost: int
+    prices: tuple[int, ...]  # by move code
 
     def __len__(self) -> int:
         return len(self.records) // _RECORD.size
@@ -304,29 +298,6 @@ class MoveLog(Sequence):
             done = ordinal
             yield (ordinal, _MOVE_EVENTS[code], Token(mask, _TOKEN_KINDS[code & 1], pc),
                    after, depth, cycle)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self)[index]
-        index, size = operator.index(index), len(self)
-        if not -size <= index < size:
-            raise IndexError("move index out of range")
-        return next(islice(self, index % size, None))
-
-    def __reversed__(self):  # Sequence's own would decode from the start once per move
-        return reversed(tuple(self))
-
-    def __eq__(self, other):
-        if isinstance(other, MoveLog):
-            return ((self.records, self.issue_cost, self.prices)
-                    == (other.records, other.issue_cost, other.prices))
-        if isinstance(other, (tuple, list)):
-            return len(self) == len(other) and all(map(operator.eq, self, other))
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return (f"<MoveLog of {len(self)} moves, issue_cost={self.issue_cost}, "
-                f"prices={self.prices}>")
 
 
 class EventRecord(NamedTuple):
@@ -412,11 +383,10 @@ class Trace(Sequence):
 class RunResult:
     """Counters, stack-move log, and final state of one completed run.
 
-    ``moves`` is a :class:`MoveLog`, one packed 23-byte record per token
-    move, and is the run's depth history.  It reads as ``(ordinal, events,
-    token, active_after, depth, cycle)`` tuples, each cycle derived from
-    the run's prices.  Only a move changes the mask, so the mask before
-    it is the previous ``active_after`` (or launch).
+    ``moves``, the run's depth history, is a :class:`MoveLog`: it iterates as
+    ``(ordinal, events, token, active_after, depth, cycle)`` tuples, has a
+    length and compares equal to another log.  Only a move changes the mask,
+    so the mask before it is the previous ``active_after`` (or launch).
     """
 
     events: CostEvents

@@ -580,8 +580,14 @@ def test_a_move_log_packs_back_from_the_tuples_it_reads_as():
                    ws.kernel_launch("single", ws.bound_pattern(9).bounds, SMALL_STACK)).moves
     assert len(moves.records) == 23 * len(moves) and moves.prices[7] == 1 + 31 + 44
     assert packed(list(moves), moves) == moves
-    with pytest.raises(IndexError):
-        moves[len(moves)]
+
+
+@pytest.mark.parametrize("name", ["records", "prices"])
+def test_a_move_log_is_frozen(name):
+    moves = ws.run(ws.kernel_program("single"),
+                   ws.kernel_launch("single", ws.bound_pattern(3).bounds)).moves
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(moves, name, getattr(moves, name)[:0])
 
 
 @pytest.mark.parametrize("profile", [ws.KEPLER, SMALL_STACK, dataclasses.replace(

@@ -75,7 +75,7 @@ def folded(program, launch, budget=ws.DEFAULT_BUDGET):
 
 def outcome(result):
     return {
-        "moves": result.moves, "events": result.events,
+        "moves": tuple(result.moves), "events": result.events,
         "executed": result.executed_instructions, "branches": result.executed_branches,
         "cycles": result.cycles, "max_depth": result.max_depth,
         "final_mask": result.final_active_mask,

@@ -3,20 +3,26 @@
 ``benchmarks/golden.json`` holds the sha256 of each output at the commit
 that recorded it (``benchmarks/record_golden.py``); this module only reads
 it.  A refactor that changes one byte of a ``dump`` listing, a sweep CSV,
-a ``compare`` report or a trace fails here.
+a ``compare`` report, a trace or a ``warpsim`` command's output fails
+here, as does one that changes a point's executed-instruction count.
 """
 
 import hashlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 import warpsim as ws
+import warpsim.cli
 
-GOLDEN = json.loads((Path(__file__).resolve().parent.parent
-                     / "benchmarks" / "golden.json").read_text(encoding="utf-8"))
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+sys.path.append(str(BENCHMARKS))
+from layers import CLI_COMMANDS  # noqa: E402
+
+GOLDEN = json.loads((BENCHMARKS / "golden.json").read_text(encoding="utf-8"))
 KERNELS = [kernel.value for kernel in ws.KernelId]
 ARCHS = ("kepler", "maxwell")
 
@@ -52,3 +58,18 @@ def test_trace(kernel, arch, n):
         text = io.StringIO()
         ws.emit_trace(result, text, fmt)
         assert sha256(text.getvalue()) == GOLDEN[f"trace.{fmt}:{kernel}:{arch}:{n}"], fmt
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_executed_instruction_counts(kernel, arch):
+    profile = ws.get_profile(arch)
+    counts = [ws.run_kernel(kernel, n, profile).executed_instructions for n in range(32)]
+    assert counts == [GOLDEN[f"insts:{kernel}:{arch}:{n}"] for n in range(32)]
+
+
+@pytest.mark.parametrize("name,argv", CLI_COMMANDS, ids=[name for name, _ in CLI_COMMANDS])
+def test_cli_output(name, argv, tmp_path):
+    out = tmp_path / f"{name}.out"
+    assert warpsim.cli.main(argv + ["--out", str(out)]) == 0
+    assert sha256(out.read_text(encoding="utf-8")) == GOLDEN[f"cli:{name}"]
