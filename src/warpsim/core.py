@@ -42,13 +42,12 @@ history); its event log and trace rows are views of it.  A traced run
 (``record_trace=True``) adds only a pc log (:class:`Trace`).
 
 The live cycle counter implements the pop-attributed cost policy: each
-instruction executes, then advances it once by its price.  An
-instruction that moves no token costs the profile's issue cost; a move
-costs the issue cost plus :attr:`ArchProfile.live_event_cycles` of each
-stack event it caused (a DIV-pop carrier thus costs ``div_cost`` total,
-and spill traffic adds its store/load legs).  There are eight kinds of
-move, so a run prices them from one table of eight, and the move log
-derives each move's cycle from the same prices instead of storing it.
+instruction executes, then advances it once by its price: the issue
+cost, or for each of the eight kinds of move (:data:`stack.MOVE_EVENTS`)
+its entry of :attr:`ArchProfile.move_prices`, the issue cost plus the
+cycles of its stack events (so a DIV-pop carrier costs ``div_cost`` in
+all).  The move log derives each move's cycle from the same prices
+instead of storing it.
 ``CLOCK`` reads the counter at issue, before the instruction's own
 charge.
 """
@@ -68,7 +67,7 @@ from . import isa
 from .cost import KEPLER, ArchProfile, CostEvents
 from .errors import ModelViolation, ProgramError, RunawayLoopError
 from .isa import Instruction, Opcode, PRED_PT, Program, REG_RZ
-from .stack import StackEvent, Token, TokenKind
+from .stack import MOVE_EVENTS, StackEvent, Token, TokenKind
 
 WARP_SIZE = 32
 FULL_MASK = 0xFFFFFFFF
@@ -192,14 +191,7 @@ class WarpState:
         self.halted = False
         self.slots: list[dict[int, Union[int, float]]] = [{} for _ in range(WARP_SIZE)]
         self.width, self.members = _W32, _UNIT_MASKS
-        self._issue_cost = issue = launch.profile.issue_cost
-        sync_push, div_push, sync_pop, div_pop, store, load = launch.profile.live_event_cycles
-        # By move code, the events of _MOVE_EVENTS: SYNC and DIV pushes, the same
-        # after a spill store, SYNC and DIV pops, the same after a spill load.
-        self._prices = (issue + sync_push, issue + div_push,
-                        issue + store + sync_push, issue + store + div_push,
-                        issue + sync_pop, issue + div_pop,
-                        issue + load + sync_pop, issue + load + div_pop)
+        self._issue_cost, self._prices = launch.profile.issue_cost, launch.profile.move_prices
 
 
 def _launch_row(name: str, values: Sequence) -> Union[int, list]:
@@ -246,16 +238,14 @@ _SSY, _BRA, _NOP, _IADD, _FADD, _ISETP, _MOV, _CLOCK, _STSLOT, _EXIT = (
     Opcode.SSY, Opcode.BRA, Opcode.NOP, Opcode.IADD, Opcode.FADD_IMM, Opcode.ISETP_LT,
     Opcode.MOV, Opcode.CLOCK, Opcode.STORE_SLOT, Opcode.EXIT)
 _SYNC, _DIV = TokenKind.SYNC, TokenKind.DIV
-_SPILL_STORE, _SPILL_LOAD = StackEvent.SPILL_STORE, StackEvent.SPILL_LOAD
+_SPILL_STORE = StackEvent.SPILL_STORE
 
-# A move's code is 4 for a pop, plus 2 for a spill, plus 1 for a DIV token.
-# By code: the events SyncStack.push/pop return, their trace names, the token kind.
-_MOVE_EVENTS = tuple(((_SPILL_LOAD if pop else _SPILL_STORE,) if spill else ())
-                     + (StackEvent(2 * pop + div),)
-                     for pop in (0, 1) for spill in (0, 1) for div in (0, 1))
-_MOVE_NAMES = tuple(tuple(event.name for event in events) for events in _MOVE_EVENTS)
+# A move's code by the events SyncStack.push/pop return (stack.MOVE_EVENTS), and
+# by code: their trace names and the token kind.
+_MOVE_CODES = {events: code for code, events in enumerate(MOVE_EVENTS)}
+_MOVE_NAMES = tuple(tuple(event.name for event in events) for events in MOVE_EVENTS)
 # By StackEvent: the two move codes that raise it.
-_EVENT_CODES = tuple(tuple(code for code, events in enumerate(_MOVE_EVENTS) if event in events)
+_EVENT_CODES = tuple(tuple(code for code, events in enumerate(MOVE_EVENTS) if event in events)
                      for event in StackEvent)
 _TOKEN_KINDS = (_SYNC, _DIV)  # by code & 1
 # One move: ordinal, code, token mask, token pc, active mask after, depth after
@@ -272,12 +262,12 @@ _EVENT_FIELDS = struct.Struct("<qBII6x")    # ordinal, code, token mask, token p
 class MoveLog:
     """The stack moves of one run, one packed 23-byte record per move.
 
-    A record holds the instruction's ordinal, the move code (4 for a pop,
-    plus 2 for a spill, plus 1 for a DIV token), the moved token's mask
-    and pc, and the active mask and depth after the move.  A move's cycle
-    is derived, not stored: the previous move's (at first 0), plus
-    ``issue_cost`` per instruction between the two, plus ``prices[code]``;
-    so it stays an exact int for any costs.  The log iterates as
+    A record holds the instruction's ordinal, the move code (its index in
+    :data:`stack.MOVE_EVENTS`), the moved token's mask and pc, and the
+    active mask and depth after the move.  A move's cycle is derived, not
+    stored: the previous move's (at first 0), plus ``issue_cost`` per
+    instruction between the two, plus ``prices[code]`` (the profile's
+    ``move_prices``); so it stays an exact int for any costs.  The log iterates as
     ``(ordinal, events, token, active_after, depth, cycle)`` tuples,
     decoded as they are read, has a length, and equals another log with
     the same bytes and prices.
@@ -296,7 +286,7 @@ class MoveLog:
         for ordinal, code, mask, pc, after, depth in _RECORD.iter_unpack(self.records):
             cycle += issue * (ordinal - done - 1) + prices[code]
             done = ordinal
-            yield (ordinal, _MOVE_EVENTS[code], Token(mask, _TOKEN_KINDS[code & 1], pc),
+            yield (ordinal, MOVE_EVENTS[code], Token(mask, _TOKEN_KINDS[code & 1], pc),
                    after, depth, cycle)
 
 
@@ -324,23 +314,22 @@ class TraceRecord(NamedTuple):
     cycle: int
 
 
-@dataclass
-class Trace(Sequence):
+@dataclass(frozen=True)
+class Trace:
     """The trace of one run: a pc log plus the run's stack-move log.
 
     Each move marks the row of its instruction with the active mask,
     depth, events and cycle after it.  Every other row keeps the
     previous row's mask and depth (at first the launch mask and 0), has
     no events, and adds the issue cost to the previous cycle (at first 0).
-    It reads as a sequence of :class:`TraceRecord`, built on first access.
+    It iterates as :class:`TraceRecord`s, built as they are read, and
+    indexes or slices like a tuple of them.
     """
 
     pcs: list[int]
     moves: MoveLog
     labels: tuple[str, ...]  # opcode label by pc
     launch_mask: int
-    _records: Union[tuple[TraceRecord, ...], None] = field(
-        default=None, init=False, repr=False, compare=False)
 
     def rows(self):
         """Yield runs ``(pcs, (active_mask, depth, event names), ordinals, cycles)``.
@@ -366,17 +355,14 @@ class Trace(Sequence):
     def __len__(self) -> int:
         return len(self.pcs)
 
-    def __getitem__(self, index):
-        if self._records is None:
-            labels = self.labels
-            self._records = tuple(
-                TraceRecord(ordinal, pc, labels[pc], mask, depth, names, cycle)
-                for pcs, (mask, depth, names), ordinals, cycles in self.rows()
-                for ordinal, pc, cycle in zip(ordinals, pcs, cycles))
-        return self._records[index]
-
     def __iter__(self):
-        return iter(self[:])
+        labels = self.labels
+        for pcs, (mask, depth, names), ordinals, cycles in self.rows():
+            for ordinal, pc, cycle in zip(ordinals, pcs, cycles):
+                yield TraceRecord(ordinal, pc, labels[pc], mask, depth, names, cycle)
+
+    def __getitem__(self, index):
+        return tuple(self)[index]
 
 
 @dataclass(frozen=True)
@@ -407,7 +393,7 @@ class RunResult:
         return tuple(EventRecord(ordinal, event, None, None) if event >= _SPILL_STORE else
                      EventRecord(ordinal, event, mask, pc)
                      for ordinal, code, mask, pc in _EVENT_FIELDS.iter_unpack(self.moves.records)
-                     for event in _MOVE_EVENTS[code])
+                     for event in MOVE_EVENTS[code])
 
     @property
     def sync_pushes(self) -> int:
@@ -445,7 +431,7 @@ def step(state: WarpState, program: Program):
     if not 0 <= pc < len(program.instructions):
         raise ModelViolation(f"program counter {pc} out of range")
     code, token = _exec_one(state, program.instructions[pc])
-    return _NO_EVENTS if token is None else (_MOVE_EVENTS[code], token)
+    return _NO_EVENTS if token is None else (MOVE_EVENTS[code], token)
 
 
 def _exec_one(state: WarpState, ins: Instruction):
@@ -458,8 +444,7 @@ def _exec_one(state: WarpState, ins: Instruction):
     op = ins.opcode
     if op is _SSY:
         token = Token(state.active_mask, _SYNC, ins.target)
-        # The stack returns (SYNC_PUSH,) or (SPILL_STORE, SYNC_PUSH): code 0 or 2.
-        code = 2 * len(state.stack.push(token)) - 2
+        code = _MOVE_CODES[state.stack.push(token)]
         state.pc += 1
     elif op is _BRA:  # a bare BRA reads PT; a partial branch parks the not-taken lanes at pc+1
         active = state.active_mask
@@ -469,7 +454,7 @@ def _exec_one(state: WarpState, ins: Instruction):
             state.cycle += state._issue_cost
             return _NO_MOVE
         token = Token(active ^ taken, _DIV, state.pc + 1)
-        code = 2 * len(state.stack.push(token)) - 1  # DIV push, code 1 or 3 with a spill
+        code = _MOVE_CODES[state.stack.push(token)]
         state.active_mask = taken
         state.pc = ins.target
     elif op is _EXIT:
@@ -486,9 +471,7 @@ def _exec_one(state: WarpState, ins: Instruction):
         return _NO_MOVE
     elif ins.pop_bit:
         token, events = state.stack.pop()
-        # The last event is SYNC_POP (2) or DIV_POP (3), after a SPILL_LOAD if any:
-        # code 4 + 2 * spill + DIV.
-        code = 2 * len(events) + events[-1]
+        code = _MOVE_CODES[events]
         state.active_mask = token.mask
         state.pc = token.pc
         _exec_plain(state, ins)
@@ -665,12 +648,12 @@ def run(program: Program, launch: Union[LaunchConfig, None] = None, *,
     widen = None if lanes_of is None else dict(zip(_UNIT_MASKS, state.members))  # class mask -> lanes
     wide = launch.active_mask  # the active lanes, under a fold
 
-    counts = [0] * len(_MOVE_EVENTS)  # by move code
+    counts = [0] * len(MOVE_EVENTS)  # by move code
     records = bytearray()
     pack = _RECORD.pack
     executed = 0
     branches = 0
-    depth = peak = 0
+    peak = 0
     instructions = program.instructions
     pcs: Union[list[int], None] = [] if record_trace else None
 
@@ -686,14 +669,11 @@ def run(program: Program, launch: Union[LaunchConfig, None] = None, *,
         if ins.opcode is _BRA:
             branches += 1
 
-        if token is not None:  # exactly one push or pop: the depth moves by one
+        if token is not None:  # exactly one push or pop
             counts[code] += 1
-            if code < 4:  # a push
-                depth += 1
-                if depth > peak:
-                    peak = depth
-            else:
-                depth -= 1
+            depth = state.stack.depth
+            if depth > peak:
+                peak = depth
             if widen is None:  # all lanes differ: a class mask is a lane mask
                 mask, after = token.mask, state.active_mask
             elif code >= 4:  # a pop restores its token's lanes, noted at its push

@@ -9,6 +9,8 @@ covers the carrier execution; SYNC pushes/pops and DIV pushes charge
 nothing (their fixed cost is folded into the per-kernel base constants).
 Stack spills charge per chunk event, split into a store leg (during the
 push that overflowed) and a load leg (during the pop that reloaded).
+``ArchProfile.event_cycles`` prices each event; the live cycle counter
+reads ``move_prices``, one price per move of ``stack.MOVE_EVENTS``.
 
 Profiles are immutable.  ``phys_capacity=None`` disables spilling, which
 is useful for isolating the spill cost by differencing two sweeps.
@@ -23,7 +25,7 @@ from typing import Mapping, Union
 
 from .errors import ProgramError
 from .isa import read_text, strip_comment
-from .stack import SyncStack
+from .stack import MOVE_EVENTS, StackEvent, SyncStack
 
 
 @dataclass(frozen=True)
@@ -45,6 +47,8 @@ class ArchProfile:
     spill_chunk: int = 4
     issue_cost: int = 1
     base_cycles: Mapping[str, int] = field(default_factory=dict)
+    # Live cycles per stack move, by move code (:data:`MOVE_EVENTS`); built once per profile.
+    move_prices: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for attr in ("div_cost", "spill_store_cost", "spill_load_cost", "issue_cost"):
@@ -55,16 +59,16 @@ class ArchProfile:
                 raise ProgramError(f"base.{kernel} must be >= 0")
         # Constructing a stack validates the capacity/chunk relationship.
         SyncStack(self.phys_capacity, self.spill_chunk)
+        # A move costs its events' cycles plus the issue cost, which a DIV pop's div_cost covers.
+        cycles = self.event_cycles
+        object.__setattr__(self, "move_prices", tuple(
+            sum(map(cycles.__getitem__, events))
+            + (0 if StackEvent.DIV_POP in events else self.issue_cost) for events in MOVE_EVENTS))
 
     @property
     def event_cycles(self) -> tuple[int, ...]:
         """Cycles charged per :class:`StackEvent`, indexed by its value."""
         return (0, 0, 0, self.div_cost, self.spill_store_cost, self.spill_load_cost)
-
-    @property
-    def live_event_cycles(self) -> tuple[int, ...]:
-        """Per-event cycles on top of ``issue_cost``: a DIV pop's price covers its carrier."""
-        return (0, 0, 0, self.div_cost - self.issue_cost) + self.event_cycles[4:]
 
     def new_stack(self) -> SyncStack:
         return SyncStack(self.phys_capacity, self.spill_chunk)

@@ -52,12 +52,13 @@ class StackEvent(IntEnum):
     SPILL_LOAD = 5
 
 
-# Prebuilt event tuples, indexed by ``token.kind is _DIV``, so the hot path
-# neither allocates nor hashes a ``TokenKind`` (``Enum.__hash__`` is Python).
-_PUSH_EVENTS = ((StackEvent.SYNC_PUSH,), (StackEvent.DIV_PUSH,))
-_PUSH_EVENTS_SPILL = tuple((StackEvent.SPILL_STORE,) + events for events in _PUSH_EVENTS)
-_POP_EVENTS = ((StackEvent.SYNC_POP,), (StackEvent.DIV_POP,))
-_POP_EVENTS_FILL = tuple((StackEvent.SPILL_LOAD,) + events for events in _POP_EVENTS)
+# The events of each kind of stack move, indexed by its move code: 4 for a
+# pop, plus 2 for a spill, plus 1 for a DIV token.  ``SyncStack.push``/``pop``
+# return these very tuples, so the hot path neither allocates nor hashes a
+# ``TokenKind`` (``Enum.__hash__`` is Python).
+MOVE_EVENTS = tuple(((StackEvent.SPILL_LOAD if pop else StackEvent.SPILL_STORE,) if spill else ())
+                    + (StackEvent(2 * pop + div),)
+                    for pop in (0, 1) for spill in (0, 1) for div in (0, 1))
 
 
 class SyncStack:
@@ -111,8 +112,8 @@ class SyncStack:
         cap = self.phys_capacity
         if cap is not None and len(tokens) - self._spilled > cap:
             self._spilled += self.spill_chunk
-            return _PUSH_EVENTS_SPILL[div]
-        return _PUSH_EVENTS[div]
+            return MOVE_EVENTS[2 + div]
+        return MOVE_EVENTS[div]
 
     def pop(self) -> tuple[Token, tuple[StackEvent, ...]]:
         """Pop the top token, reloading the newest spilled chunk if needed."""
@@ -122,5 +123,5 @@ class SyncStack:
         token = tokens.pop()
         if len(tokens) < self._spilled:
             self._spilled -= self.spill_chunk
-            return token, _POP_EVENTS_FILL[token.kind is _DIV]
-        return token, _POP_EVENTS[token.kind is _DIV]
+            return token, MOVE_EVENTS[6 + (token.kind is _DIV)]
+        return token, MOVE_EVENTS[4 + (token.kind is _DIV)]

@@ -12,7 +12,7 @@ import warpsim as ws
 from warpsim import core
 from warpsim.core import MoveLog, WarpState, step, unpack_row
 from warpsim.errors import ModelViolation, ProgramError, RunawayLoopError
-from warpsim.stack import StackEvent, Token, TokenKind
+from warpsim.stack import MOVE_EVENTS, StackEvent, Token, TokenKind
 
 from conftest import checked_run
 
@@ -590,13 +590,29 @@ def test_a_move_log_is_frozen(name):
         setattr(moves, name, getattr(moves, name)[:0])
 
 
-@pytest.mark.parametrize("profile", [ws.KEPLER, SMALL_STACK, dataclasses.replace(
-    SMALL_STACK, name="dear-issue", issue_cost=50)], ids=lambda profile: profile.name)
-def test_move_prices_are_the_issue_cost_plus_the_live_cycles_of_each_event(profile):
-    state, _ = fresh_state(profile=profile)
-    live = profile.live_event_cycles
-    assert state._prices == tuple(profile.issue_cost + sum(live[event] for event in events)
-                                  for events in core._MOVE_EVENTS)
+@pytest.mark.parametrize("profile, prices", [
+    (ws.KEPLER, (1, 1, 41, 41, 1, 32, 45, 76)),
+    (SMALL_STACK, (1, 1, 41, 41, 1, 32, 45, 76)),
+    (dataclasses.replace(SMALL_STACK, name="dear-issue", issue_cost=50),
+     (50, 50, 90, 90, 50, 32, 94, 76)),
+], ids=["kepler", "small-stack", "dear-issue"])
+def test_move_prices_by_move_code(profile, prices):
+    # SYNC/DIV push, the same after a spill store, SYNC/DIV pop, the same after a spill load.
+    assert profile.move_prices == prices
+    assert fresh_state(profile=profile)[0]._prices == prices
+
+
+def test_a_spilling_run_records_the_depth_of_its_stack():
+    program = ws.kernel_program("double")
+    launch = ws.kernel_launch("double", ws.bound_pattern(9).bounds, SMALL_STACK)
+    moves = checked_run(program, launch).moves
+    state, depths = WarpState(program, launch), []
+    while not state.halted:
+        _, token = step(state, program)
+        if token is not None:
+            depths.append(state.stack.depth)
+    assert any(StackEvent.SPILL_STORE in move[1] for move in moves)
+    assert [move[4] for move in moves] == depths
 
 
 MOVE_FIELDS = ("ordinal", "events", "token", "active_after", "depth", "cycle")
@@ -606,7 +622,7 @@ def packed(moves, like):
     """``(ordinal, events, token, active_after, depth, cycle)`` tuples as a MoveLog
     with the prices of ``like``; a cycle that the prices do not give is lost."""
     return MoveLog(b"".join(
-        core._RECORD.pack(ordinal, core._MOVE_EVENTS.index(events), token.mask, token.pc,
+        core._RECORD.pack(ordinal, MOVE_EVENTS.index(events), token.mask, token.pc,
                           after, depth)
         for ordinal, events, token, after, depth, _ in moves), like.issue_cost, like.prices)
 

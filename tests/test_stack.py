@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 import warpsim as ws
 from warpsim.errors import ModelViolation, ProgramError
-from warpsim.stack import DEPTH_LIMIT, StackEvent, SyncStack, Token, TokenKind
+from warpsim.stack import DEPTH_LIMIT, MOVE_EVENTS, StackEvent, SyncStack, Token, TokenKind
 
 from conftest import RefOverlay
 
@@ -26,6 +26,33 @@ def test_push_events_tag_token_kind():
     assert token.kind is TokenKind.DIV and events == (StackEvent.DIV_POP,)
     token, events = stack.pop()
     assert token.kind is TokenKind.SYNC and events == (StackEvent.SYNC_POP,)
+
+
+def test_move_events_by_move_code():
+    # 4 for a pop, plus 2 for a spill, plus 1 for a DIV token.
+    E = StackEvent
+    assert MOVE_EVENTS == (
+        (E.SYNC_PUSH,), (E.DIV_PUSH,), (E.SPILL_STORE, E.SYNC_PUSH), (E.SPILL_STORE, E.DIV_PUSH),
+        (E.SYNC_POP,), (E.DIV_POP,), (E.SPILL_LOAD, E.SYNC_POP), (E.SPILL_LOAD, E.DIV_POP))
+
+
+def test_a_one_entry_stack_makes_all_eight_moves():
+    E = StackEvent
+    s = SyncStack(phys_capacity=1, spill_chunk=1)
+    codes = []
+    for push, code, expected, depth in [
+            (div(1), 1, (E.DIV_PUSH,), 1),
+            (sync(2), 2, (E.SPILL_STORE, E.SYNC_PUSH), 2),
+            (None, 4, (E.SYNC_POP,), 1),
+            (None, 7, (E.SPILL_LOAD, E.DIV_POP), 0),
+            (sync(3), 0, (E.SYNC_PUSH,), 1),
+            (div(4), 3, (E.SPILL_STORE, E.DIV_PUSH), 2),
+            (None, 5, (E.DIV_POP,), 1),
+            (None, 6, (E.SPILL_LOAD, E.SYNC_POP), 0)]:
+        events = s.pop()[1] if push is None else s.push(push)
+        assert events is MOVE_EVENTS[code] and events == expected and s.depth == depth
+        codes.append(code)
+    assert sorted(codes) == list(range(8)) and s.spilled_count == 0
 
 
 def test_no_spill_up_to_capacity():
