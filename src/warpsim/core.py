@@ -487,7 +487,7 @@ def _exec_one(state: WarpState, ins: Instruction):
 def _exec_plain(state: WarpState, ins: Instruction) -> None:
     """Lane-wise execution of the non-control opcodes under the active mask.
 
-    A ``reg|int`` operand is its immediate when its register field is None.
+    A ``reg|int`` or ``[reg|int]`` operand is its immediate when its register field is None.
     """
     op = ins.opcode
     if op is _NOP:
@@ -565,8 +565,8 @@ def _exec_plain(state: WarpState, ins: Instruction) -> None:
     elif op is _STSLOT:
         source = unpack_row(regs[ins.src_a], width)
         slots = state.slots
-        if ins.slot_reg is not None:
-            indices = unpack_row(regs[ins.slot_reg], width)
+        if ins.src_b is not None:
+            indices = unpack_row(regs[ins.src_b], width)
             for t in lanes(active):
                 index = indices[t]
                 if type(index) is not int or index < 0:
@@ -574,7 +574,7 @@ def _exec_plain(state: WarpState, ins: Instruction) -> None:
                                          f"{lanes(state.members[t])[0]} is not an integer >= 0")
                 slots[t][index] = source[t]
         else:
-            slot = ins.slot
+            slot = ins.imm
             for t in lanes(active):
                 slots[t][slot] = source[t]
         return

@@ -106,8 +106,6 @@ class Instruction:
     src_a: Union[int, None] = None
     src_b: Union[int, None] = None
     imm: Union[int, float, None] = None
-    slot: Union[int, None] = None
-    slot_reg: Union[int, None] = None
     target: Union[int, None] = None
 
 
@@ -120,20 +118,21 @@ class OpSpec:
     """Assembly syntax and validity rules of one opcode.
 
     ``operands`` lists the operands in text order, each as
-    ``(shape, field)`` or, when the operand is a register or an integer,
-    ``(shape, reg_field, imm_field)``.  Shapes: ``target`` (label or
-    instruction index), ``reg``, ``pred``, ``reg|int``, ``f32`` and
-    ``[reg|int]`` (a bracketed slot index).  ``pop`` allows the ``.S``
+    ``(shape, field)``.  Shapes: ``target`` (label or instruction index),
+    ``reg``, ``pred``, ``reg|int``, ``f32`` and ``[reg|int]`` (a bracketed
+    slot index).  A ``reg|int`` or ``[reg|int]`` operand is its register
+    field, or ``imm`` when that field is None.  ``pop`` allows the ``.S``
     pop-bit and ``pred`` the ``@Pk`` prefix.
     """
 
-    operands: tuple[tuple[str, ...], ...] = ()
+    operands: tuple[tuple[str, str], ...] = ()
     pop: bool = False
     pred: bool = False
     unused: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        used = {name for operand in self.operands for name in operand[1:]}
+        used = {name for _, name in self.operands} | {"imm" for shape, _ in self.operands
+                                                       if "int" in shape}
         object.__setattr__(self, "unused",
                            tuple(name for name in _OPERAND_FIELDS if name not in used))
 
@@ -142,14 +141,12 @@ SPECS: Mapping[Opcode, OpSpec] = {
     Opcode.SSY: OpSpec((("target", "target"),)),
     Opcode.BRA: OpSpec((("target", "target"),), pred=True),
     Opcode.NOP: OpSpec(pop=True),
-    Opcode.IADD: OpSpec((("reg", "dst"), ("reg", "src_a"), ("reg|int", "src_b", "imm")),
-                        pop=True),
+    Opcode.IADD: OpSpec((("reg", "dst"), ("reg", "src_a"), ("reg|int", "src_b")), pop=True),
     Opcode.FADD_IMM: OpSpec((("reg", "dst"), ("reg", "src_a"), ("f32", "imm")), pop=True),
-    Opcode.ISETP_LT: OpSpec((("pred", "pdst"), ("reg", "src_a"), ("reg|int", "src_b", "imm")),
-                            pop=True),
-    Opcode.MOV: OpSpec((("reg", "dst"), ("reg|int", "src_a", "imm")), pop=True),
+    Opcode.ISETP_LT: OpSpec((("pred", "pdst"), ("reg", "src_a"), ("reg|int", "src_b")), pop=True),
+    Opcode.MOV: OpSpec((("reg", "dst"), ("reg|int", "src_a")), pop=True),
     Opcode.CLOCK: OpSpec((("reg", "dst"),), pop=True),
-    Opcode.STORE_SLOT: OpSpec((("[reg|int]", "slot_reg", "slot"), ("reg", "src_a")), pop=True),
+    Opcode.STORE_SLOT: OpSpec((("[reg|int]", "src_b"), ("reg", "src_a")), pop=True),
     Opcode.EXIT: OpSpec(),
 }
 
@@ -205,22 +202,19 @@ _PREDICATE_INDEX = {"PT": PRED_PT, **{f"P{i}": i for i in range(MAX_FILE_SIZE)}}
 
 def register_index(name: str, file_size: int = DEFAULT_REGISTER_FILE) -> int:
     """Parse a register name ("R4" or "RZ") into an index."""
-    index = _REGISTER_INDEX.get(name)
-    if index is not None and index < file_size:
-        return index
-    return _file_index(name, file_size, "register", "RZ")
+    return _file_index(name, file_size, _REGISTER_INDEX, "register", "RZ")
 
 
 def predicate_index(name: str, file_size: int = DEFAULT_PREDICATE_FILE) -> int:
     """Parse a predicate name ("P0" or "PT") into an index."""
-    index = _PREDICATE_INDEX.get(name)
+    return _file_index(name, file_size, _PREDICATE_INDEX, "predicate", "PT")
+
+
+def _file_index(name: str, file_size: int, table: dict, kind: str, special: str) -> int:
+    """Index of ``name`` in a file named by ``table``, whose read-only row ``special`` is -1."""
+    index = table.get(name)
     if index is not None and index < file_size:
         return index
-    return _file_index(name, file_size, "predicate", "PT")
-
-
-def _file_index(name: str, file_size: int, kind: str, special: str) -> int:
-    """Index of ``name`` in a file whose read-only row ``special`` (RZ or PT) is -1."""
     text = name.strip().upper()
     if text == special:
         return -1  # REG_RZ or PRED_PT
@@ -257,26 +251,25 @@ def _check_instruction(i: int, ins: Instruction, length: int, regs: int, preds: 
     for name in spec.unused:
         if getattr(ins, name) is not None:
             raise _err(i, ins, f"unexpected operand {name}")
-    for name in ("pred", "dst", "pdst", "src_a", "src_b", "slot", "slot_reg", "target"):
+    for name in ("pred", "dst", "pdst", "src_a", "src_b", "target"):
         value = getattr(ins, name)
         if value is not None and type(value) is not int:  # a bool or a float is no index
             raise _err(i, ins, f"{name}={value!r} is not an integer")
     if ins.pred is not None and not PRED_PT <= ins.pred < preds:
         raise _err(i, ins, f"predicate {ins.pred} outside file")
-    for operand in spec.operands:
-        shape, name = operand[0], operand[1]
+    for shape, name in spec.operands:
         value = getattr(ins, name)
-        if len(operand) == 3:
-            imm = getattr(ins, operand[2])
+        if "int" in shape:  # "reg|int" or "[reg|int]": the register, or imm when it is None
+            imm = ins.imm
             if (value is None) == (imm is None):
-                raise _err(i, ins, f"needs exactly one of {name} or {operand[2]}")
+                raise _err(i, ins, f"needs exactly one of {name} or imm")
             if value is not None:
                 shape = "reg"
+            elif type(imm) is not int:  # before comparing: a str imm has no order with 0
+                raise _err(i, ins, f"immediate {imm!r} must be an integer")
             elif shape == "[reg|int]":
                 if imm < 0:
                     raise _err(i, ins, f"slot index {imm} must be >= 0")
-            elif type(imm) is not int:
-                raise _err(i, ins, f"immediate {imm!r} must be an integer")
             elif not INT32_MIN <= imm <= INT32_MAX:
                 raise _err(i, ins, f"immediate {imm} outside 32-bit signed range")
         if shape == "reg":
@@ -421,11 +414,10 @@ def _parse_operands(opcode: Opcode, tokens: list[str], labels: Mapping[str, int]
     """
     operands = SPECS[opcode].operands
     if len(tokens) != len(operands):
-        shapes = ", ".join(operand[0] for operand in operands)
+        shapes = ", ".join(shape for shape, _ in operands)
         raise ProgramError(f"expected operands: {opcode.value} {shapes}".rstrip())
     fields = {}
-    for operand, token in zip(operands, tokens):
-        shape, name = operand[0], operand[1]
+    for (shape, name), token in zip(operands, tokens):
         if shape == "target":
             value = _parse_int_literal(token)
             if value is None:
@@ -450,7 +442,7 @@ def _parse_operands(opcode: Opcode, tokens: list[str], labels: Mapping[str, int]
             if value is None:
                 value = register_index(token, regs)
             else:
-                name = operand[2]
+                name = "imm"
         fields[name] = value
     return fields
 
@@ -458,16 +450,16 @@ def _parse_operands(opcode: Opcode, tokens: list[str], labels: Mapping[str, int]
 def format_instruction(ins: Instruction, label_of=None) -> str:
     """Render one instruction body (no label prefix)."""
     texts = []
-    for operand in SPECS[ins.opcode].operands:
-        shape, value = operand[0], getattr(ins, operand[1])
+    for shape, name in SPECS[ins.opcode].operands:
+        value = getattr(ins, name)
         if shape == "target":
             text = (label_of or str)(value)
         elif shape == "pred":
             text = predicate_name(value)
         elif shape == "f32":
             text = repr(value)
-        elif value is None and len(operand) == 3:  # integer form of "reg|int"
-            text = str(getattr(ins, operand[2]))
+        elif value is None and "int" in shape:  # the integer form of "reg|int"
+            text = str(ins.imm)
         else:
             text = register_name(value)
         texts.append(f"[{text}]" if shape == "[reg|int]" else text)

@@ -4,12 +4,17 @@ The oracles here deliberately avoid the package's own machinery:
 per-lane loop results come from plain numpy float32 scalar loops, and
 stack spill behavior comes from a counter-only occupancy tracker driven
 by an abstract push/pop sequence derived from loop structure alone.
+The run-level reference, :func:`stepped`, drives ``core.step`` on an
+unfolded 32-lane ``WarpState`` and reads the state around each
+instruction, so it shares no code with the lane fold, the move log, or
+the trace rows and event log that ``run`` derives from that log.
 """
 
 import numpy as np
 import pytest
 
 import warpsim as ws
+from warpsim.core import WarpState, step, unpack_row
 
 BODY = np.float32(ws.BODY_STEP)
 OUTER = np.float32(ws.OUTER_STEP)
@@ -18,6 +23,63 @@ OUTER = np.float32(ws.OUTER_STEP)
 def checked_run(program, launch=None, **kwargs):
     """run() plus the full invariant audit."""
     return ws.verify_result(ws.run(program, launch, **kwargs))
+
+
+def stepped(program, launch, budget=ws.DEFAULT_BUDGET):
+    """What ``run`` must give, in the shape of :func:`outcome`, read off a 32-lane
+    state stepped by ``step``; or ``(error type, message)`` if the run raises."""
+    state = WarpState(program, launch)
+    moves, log, trace, counts = [], [], [], [0] * len(ws.StackEvent)
+    branches = 0
+    try:
+        while not state.halted:
+            if len(trace) >= budget:
+                raise ws.RunawayLoopError(
+                    f"no EXIT after {budget} instructions; raise the budget or fix the loop")
+            pc = state.pc
+            ins = program.instructions[pc]
+            branches += ins.opcode is ws.Opcode.BRA
+            events, token = step(state, program)
+            ordinal = len(trace) + 1
+            trace.append(ws.TraceRecord(
+                ordinal, pc, ins.opcode.value + (".S" if ins.pop_bit else ""),
+                state.active_mask, state.stack.depth, tuple(event.name for event in events),
+                state.cycle))
+            for event in events:
+                counts[event] += 1
+                spill = event in (ws.StackEvent.SPILL_STORE, ws.StackEvent.SPILL_LOAD)
+                log.append(ws.EventRecord(ordinal, event, None if spill else token.mask,
+                                          None if spill else token.pc))
+            if events:
+                moves.append((ordinal, events, token, state.active_mask, state.stack.depth,
+                              state.cycle))
+    except ws.ModelViolation as exc:  # RunawayLoopError included
+        return type(exc), str(exc)
+    return {
+        "moves": tuple(moves), "event_log": tuple(log), "trace": tuple(trace),
+        "events": ws.CostEvents(*counts), "executed": len(trace), "branches": branches,
+        "cycles": state.cycle, "max_depth": max((move[4] for move in moves), default=0),
+        "final_mask": state.active_mask, "launch_mask": state.launch_mask,
+        "registers": repr(tuple(tuple(unpack_row(row)) for row in state.regs[:-1])),
+        "slots": repr(tuple(state.slots)),
+    }
+
+
+def outcome(result):
+    """Every field of a ``RunResult``, in the shape :func:`stepped` gives.
+
+    Values are compared by ``repr``, so ``1`` differs from ``1.0`` and
+    ``0.0`` from ``-0.0``; an untraced result has trace None.
+    """
+    return {
+        "moves": tuple(result.moves), "event_log": result.event_log,
+        "trace": None if result.trace is None else tuple(result.trace),
+        "events": result.events, "executed": result.executed_instructions,
+        "branches": result.executed_branches, "cycles": result.cycles,
+        "max_depth": result.max_depth, "final_mask": result.final_active_mask,
+        "launch_mask": result.launch_mask,
+        "registers": repr(result.registers), "slots": repr(result.slots),
+    }
 
 
 def single_oracle(bound):

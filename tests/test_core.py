@@ -14,7 +14,7 @@ from warpsim.core import MoveLog, WarpState, step, unpack_row
 from warpsim.errors import ModelViolation, ProgramError, RunawayLoopError
 from warpsim.stack import MOVE_EVENTS, StackEvent, Token, TokenKind
 
-from conftest import checked_run
+from conftest import checked_run, stepped
 
 FULL = 0xFFFFFFFF
 SMALL_STACK = ws.ArchProfile("small-stack", div_cost=32, spill_store_cost=40,
@@ -605,14 +605,11 @@ def test_move_prices_by_move_code(profile, prices):
 def test_a_spilling_run_records_the_depth_of_its_stack():
     program = ws.kernel_program("double")
     launch = ws.kernel_launch("double", ws.bound_pattern(9).bounds, SMALL_STACK)
-    moves = checked_run(program, launch).moves
-    state, depths = WarpState(program, launch), []
-    while not state.halted:
-        _, token = step(state, program)
-        if token is not None:
-            depths.append(state.stack.depth)
-    assert any(StackEvent.SPILL_STORE in move[1] for move in moves)
-    assert [move[4] for move in moves] == depths
+    result = checked_run(program, launch)
+    expected = stepped(program, launch)
+    assert any(StackEvent.SPILL_STORE in move[1] for move in expected["moves"])
+    assert [move[4] for move in result.moves] == [move[4] for move in expected["moves"]]
+    assert result.max_depth == expected["max_depth"]
 
 
 MOVE_FIELDS = ("ordinal", "events", "token", "active_after", "depth", "cycle")

@@ -4,8 +4,8 @@
 the warp on one lane per class.  Two references share no code with the
 fold:
 
-* ``stepped``: a 32-lane ``WarpState`` driven by ``step``, which never
-  folds, read around each instruction;
+* ``conftest.stepped``: a 32-lane ``WarpState`` driven by ``step``,
+  which never folds, read around each instruction;
 * ``asmgen.reference``: the asm-spill benchmark's per-lane scalar
   evaluator, imported read-only, which imports nothing from warpsim.
 
@@ -24,7 +24,9 @@ from hypothesis import given, settings, strategies as st
 
 import warpsim as ws
 import warpsim.cli
-from warpsim.core import WarpState, lanes, step, unpack_row
+from warpsim.core import lanes
+
+from conftest import outcome, stepped
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "benchmarks"))
 import asmgen  # noqa: E402
@@ -34,53 +36,13 @@ SPILLING = ws.parse_profile(asmgen.PROFILE_TEXT)  # a 4-entry stack, spilled 2 a
 KERNELS = [kernel.value for kernel in ws.KernelId]
 
 
-def stepped(program, launch, budget=ws.DEFAULT_BUDGET):
-    """What ``run`` must give, read off an unfolded 32-lane state stepped by ``step``."""
-    state = WarpState(program, launch)
-    moves, counts = [], [0] * len(ws.StackEvent)
-    executed = branches = peak = 0
-    try:
-        while not state.halted:
-            if executed >= budget:
-                raise ws.RunawayLoopError(
-                    f"no EXIT after {budget} instructions; raise the budget or fix the loop")
-            branches += program.instructions[state.pc].opcode is ws.Opcode.BRA
-            events, token = step(state, program)
-            executed += 1
-            for event in events:
-                counts[event] += 1
-            if events:
-                peak = max(peak, state.stack.depth)
-                moves.append((executed, events, token, state.active_mask, state.stack.depth,
-                              state.cycle))
-    except ws.ModelViolation as exc:  # RunawayLoopError included
-        return type(exc), str(exc)
-    return {
-        "moves": tuple(moves), "events": ws.CostEvents(*counts), "executed": executed,
-        "branches": branches, "cycles": state.cycle, "max_depth": peak,
-        "final_mask": state.active_mask,
-        "registers": repr(tuple(tuple(unpack_row(row)) for row in state.regs[:-1])),
-        "slots": repr(tuple(state.slots)),
-    }
-
-
 def folded(program, launch, budget=ws.DEFAULT_BUDGET):
-    """``run``'s result in the shape :func:`stepped` gives."""
+    """A traced ``run``'s result in the shape :func:`stepped` gives."""
     try:
-        result = ws.run(program, launch, budget=budget)
+        result = ws.run(program, launch, budget=budget, record_trace=True)
     except ws.ModelViolation as exc:
         return type(exc), str(exc)
     return outcome(result)
-
-
-def outcome(result):
-    return {
-        "moves": tuple(result.moves), "events": result.events,
-        "executed": result.executed_instructions, "branches": result.executed_branches,
-        "cycles": result.cycles, "max_depth": result.max_depth,
-        "final_mask": result.final_active_mask,
-        "registers": repr(result.registers), "slots": repr(result.slots),
-    }
 
 
 def classes(launch):
@@ -163,7 +125,7 @@ def test_generated_programs_with_repeated_lanes_match_both_references(seed, inde
     gen = repeat_lanes(asmgen.generate(seed, index), picks)
     program = ws.parse_program(gen.text)
     launch = ws.LaunchConfig(gen.launch, active_mask=mask, profile=SPILLING)
-    result = ws.verify_result(ws.run(program, launch))
+    result = ws.verify_result(ws.run(program, launch, record_trace=True))
     assert (repr(result.registers), repr(result.slots)) == masked_reference(gen, mask)
     assert outcome(result) == stepped(program, launch)
 
@@ -175,7 +137,7 @@ def test_every_lane_equal_or_a_few_copied_over_all(picks, mask):
     gen = repeat_lanes(asmgen.generate(7, 11), picks)
     program = ws.parse_program(gen.text)
     launch = ws.LaunchConfig(gen.launch, active_mask=mask, profile=SPILLING)
-    result = ws.verify_result(ws.run(program, launch))
+    result = ws.verify_result(ws.run(program, launch, record_trace=True))
     assert (repr(result.registers), repr(result.slots)) == masked_reference(gen, mask)
     assert outcome(result) == stepped(program, launch)
 
@@ -226,7 +188,8 @@ def test_lanes_that_differ_only_by_an_equality_hazard_stay_apart(name):
     program = ws.parse_program(HAZARD_PROGRAM)
     launch = ws.LaunchConfig({"R1": values}, active_mask=mask)
     assert classes(launch) == 2
-    assert outcome(ws.verify_result(ws.run(program, launch))) == stepped(program, launch)
+    assert outcome(ws.verify_result(ws.run(program, launch, record_trace=True))) == \
+        stepped(program, launch)
 
 
 @pytest.mark.parametrize("name", [name for name, hazard in HAZARDS.items() if hazard[2]])
@@ -244,7 +207,9 @@ def test_equality_hazards_through_the_cli(name, tmp_path, monkeypatch, capsys):
     code = warpsim.cli.main(["run", "--program", str(source), "--reg", f"R1={option}"])
     assert (code, capsys.readouterr().err) == (0, "")
     program = ws.parse_program(HAZARD_PROGRAM)
-    assert outcome(results[0]) == stepped(program, ws.LaunchConfig({"R1": values}))
+    # The CLI's run records no trace.
+    assert outcome(results[0]) == dict(stepped(program, ws.LaunchConfig({"R1": values})),
+                                       trace=None)
 
 
 def permute_mask(mask, perm):

@@ -212,12 +212,16 @@ def test_round_trip_covers_every_opcode_and_operand_form():
     assert {i.opcode for i in ins} == set(ws.Opcode)
     assert {i.opcode for i in ins if i.pop_bit} == {
         op for op, spec in isa.SPECS.items() if spec.pop}
+    checked = []
     for op, spec in isa.SPECS.items():
-        for operand in spec.operands:
-            if len(operand) == 3:  # both the register and the integer form
-                used = {name for i in ins if i.opcode is op
-                        for name in operand[1:] if getattr(i, name) is not None}
-                assert used == set(operand[1:]), (op, operand)
+        for shape, name in spec.operands:
+            if shape in ("reg|int", "[reg|int]"):  # the register form and the integer form
+                forms = {(getattr(i, name) is None, i.imm is None)
+                         for i in ins if i.opcode is op}
+                assert forms == {(False, True), (True, False)}, (op, name)
+                checked.append((op.value, name))
+    assert checked == [("IADD", "src_b"), ("ISETP.LT", "src_b"), ("MOV", "src_a"),
+                       ("STSLOT", "src_b")]
     assert [i.pred for i in ins if i.opcode is ws.Opcode.BRA] == [1, isa.PRED_PT, None]
     assert ins[7].dst == ins[8].src_a == isa.REG_RZ and ins[11].pdst == isa.PRED_PT
     text = ws.format_program(prog)
@@ -297,7 +301,7 @@ def test_program_rejects_malformed_instructions():
         isa.Instruction(ws.Opcode.FADD_IMM, dst=0, src_a=0, imm=0.1),
         isa.Instruction(ws.Opcode.NOP, dst=3),
         isa.Instruction(ws.Opcode.ISETP_LT, pdst=0, src_a=0, imm=1, pred=1),
-        isa.Instruction(ws.Opcode.STORE_SLOT, slot=0, slot_reg=1, src_a=0),
+        isa.Instruction(ws.Opcode.STORE_SLOT, imm=0, src_b=1, src_a=0),
     ]
     for ins in cases:
         with pytest.raises(ProgramError):
@@ -316,7 +320,28 @@ def test_program_rejects_malformed_instructions():
      "instruction 0 (ISETP.LT): pdst=7 outside predicate file"),
     (isa.Instruction(ws.Opcode.FADD_IMM, dst=0, src_a=0, imm=1),
      "instruction 0 (FADD32I): needs a float immediate"),
-], ids=["pred", "int-imm", "missing-reg", "reg-range", "pred-operand", "f32-imm"])
+    # A reg|int operand needs its register or an int imm: both, neither and a non-int fail.
+    (isa.Instruction(ws.Opcode.MOV, dst=0, src_a=1, imm=2),
+     "instruction 0 (MOV): needs exactly one of src_a or imm"),
+    (isa.Instruction(ws.Opcode.MOV, dst=0),
+     "instruction 0 (MOV): needs exactly one of src_a or imm"),
+    (isa.Instruction(ws.Opcode.MOV, dst=0, imm="2"),
+     "instruction 0 (MOV): immediate '2' must be an integer"),
+    (isa.Instruction(ws.Opcode.ISETP_LT, pdst=0, src_a=0, src_b=1, imm=2),
+     "instruction 0 (ISETP.LT): needs exactly one of src_b or imm"),
+    (isa.Instruction(ws.Opcode.ISETP_LT, pdst=0, src_a=0),
+     "instruction 0 (ISETP.LT): needs exactly one of src_b or imm"),
+    (isa.Instruction(ws.Opcode.ISETP_LT, pdst=0, src_a=0, imm=2.0),
+     "instruction 0 (ISETP.LT): immediate 2.0 must be an integer"),
+    (isa.Instruction(ws.Opcode.STORE_SLOT, src_b=1, imm=0, src_a=0),
+     "instruction 0 (STSLOT): needs exactly one of src_b or imm"),
+    (isa.Instruction(ws.Opcode.STORE_SLOT, src_a=0),
+     "instruction 0 (STSLOT): needs exactly one of src_b or imm"),
+    (isa.Instruction(ws.Opcode.STORE_SLOT, imm="3", src_a=0),  # a str imm has no order with 0
+     "instruction 0 (STSLOT): immediate '3' must be an integer"),
+], ids=["pred", "int-imm", "missing-reg", "reg-range", "pred-operand", "f32-imm",
+        "MOV-both", "MOV-neither", "MOV-str", "ISETP.LT-both", "ISETP.LT-neither",
+        "ISETP.LT-float", "STSLOT-both", "STSLOT-neither", "STSLOT-str"])
 def test_program_names_the_fault_of_a_hand_built_instruction(ins, message):
     with pytest.raises(ProgramError) as err:
         isa.Program((ins, isa.Instruction(ws.Opcode.EXIT)))
@@ -336,14 +361,14 @@ def _run_under_mask(active_mask):
      "instruction 0 (MOV): dst='a' is not an integer"),
     (_program_of, isa.Instruction(ws.Opcode.BRA, target=0, pred="0"),
      "instruction 0 (BRA): pred='0' is not an integer"),
-    (_program_of, isa.Instruction(ws.Opcode.STORE_SLOT, slot="x", src_a=0),
-     "instruction 0 (STSLOT): slot='x' is not an integer"),
+    (_program_of, isa.Instruction(ws.Opcode.STORE_SLOT, imm="x", src_a=0),
+     "instruction 0 (STSLOT): immediate 'x' must be an integer"),
     (_program_of, isa.Instruction(ws.Opcode.BRA, target=True),
      "instruction 0 (BRA): target=True is not an integer"),
     (_program_of, isa.Instruction(ws.Opcode.BRA, target=0.0),
      "instruction 0 (BRA): target=0.0 is not an integer"),
-    (_program_of, isa.Instruction(ws.Opcode.STORE_SLOT, slot=1.5, src_a=0),
-     "instruction 0 (STSLOT): slot=1.5 is not an integer"),
+    (_program_of, isa.Instruction(ws.Opcode.STORE_SLOT, imm=1.5, src_a=0),
+     "instruction 0 (STSLOT): immediate 1.5 must be an integer"),
     (_program_of, isa.Instruction(ws.Opcode.ISETP_LT, pdst=0.0, src_a=0, imm=1),
      "instruction 0 (ISETP.LT): pdst=0.0 is not an integer"),
     (_program_of, isa.Instruction(ws.Opcode.IADD, dst=1, src_a=0, imm=True),

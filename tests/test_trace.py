@@ -1,9 +1,9 @@
 """Run records against a reference built by stepping; their memory; the trace API.
 
-The references drive ``core.step`` on a fresh ``WarpState`` and read the
-state around each instruction, so they share no code with the move log
-that ``run`` keeps (its depth history) or with the trace rows and event
-log derived from it.
+The reference, ``conftest.stepped``, drives ``core.step`` on a fresh
+``WarpState`` and reads the state around each instruction, so it shares
+no code with the move log that ``run`` keeps (its depth history) or with
+the trace rows and event log derived from it.
 """
 
 import dataclasses
@@ -14,70 +14,34 @@ import tracemalloc
 import pytest
 
 import warpsim as ws
-from warpsim.core import WarpState, step
 
-from conftest import checked_run
+from conftest import checked_run, outcome, stepped
 from test_core import EVERY_OPCODE
 from test_harness import SPILLING_LOOP, spilling_loop_launch
 
 SPILLING = dataclasses.replace(ws.KEPLER, name="spill-4-2", phys_capacity=4, spill_chunk=2)
 
 
-def reference_trace(program, launch):
-    """One TraceRecord per instruction, read off the state after each step."""
-    state = WarpState(program, launch)
-    records = []
-    while not state.halted:
-        pc = state.pc
-        ins = program.instructions[pc]
-        events, _ = step(state, program)
-        records.append(ws.TraceRecord(
-            len(records) + 1, pc, ins.opcode.value + (".S" if ins.pop_bit else ""),
-            state.active_mask, state.stack.depth, tuple(event.name for event in events),
-            state.cycle))
-    return records
-
-
-def reference_views(program, launch):
-    """The move log and the EventRecord log, read off the state after each step."""
-    state = WarpState(program, launch)
-    moves, log, ordinal = [], [], 0
-    while not state.halted:
-        events, token = step(state, program)
-        ordinal += 1
-        if events:
-            moves.append((ordinal, events, token, state.active_mask, state.stack.depth,
-                          state.cycle))
-        for event in events:
-            spill = event in (ws.StackEvent.SPILL_STORE, ws.StackEvent.SPILL_LOAD)
-            log.append(ws.EventRecord(ordinal, event, None if spill else token.mask,
-                                      None if spill else token.pc))
-    return tuple(moves), tuple(log)
-
-
 def assert_views_match_reference(program, launch):
-    moves, log = reference_views(program, launch)
-    assert moves  # every program under test moves the stack
+    expected = stepped(program, launch)
+    assert expected["moves"]  # every program under test moves the stack
     for record_trace in (False, True):
         result = checked_run(program, launch, record_trace=record_trace)
-        assert tuple(result.moves) == moves and len(result.moves) == len(moves)
-        assert result.event_log == log
-        assert result.max_depth == max(move[4] for move in moves)
-        assert result.cycles == (moves[-1][5] + launch.profile.issue_cost
-                                 * (result.executed_instructions - moves[-1][0]))
+        assert outcome(result) == (expected if record_trace else dict(expected, trace=None))
+        assert len(result.moves) == len(expected["moves"])
 
 
 def assert_trace_matches_reference(program, launch):
     result = checked_run(program, launch, record_trace=True)
-    expected = reference_trace(program, launch)
-    assert len(result.trace) == len(expected)
-    assert list(result.trace) == expected
+    expected = stepped(program, launch)
+    assert outcome(result) == expected
+    assert len(result.trace) == len(expected["trace"])
     sink = io.StringIO()
     ws.emit_trace(result, sink)
     assert [json.loads(line) for line in sink.getvalue().splitlines()] == [
         {"ordinal": r.ordinal, "pc": r.pc, "opcode": r.opcode,
          "active_mask": f"0x{r.active_mask:08x}", "depth": r.depth,
-         "event": list(r.events), "cycle": r.cycle} for r in expected]
+         "event": list(r.events), "cycle": r.cycle} for r in expected["trace"]]
 
 
 @pytest.mark.parametrize("n", [0, 1, 16, 17, 31])
@@ -165,12 +129,11 @@ def test_huge_costs_give_exact_move_and_trace_cycles(kernel, n):
     # The move log derives its cycles from the prices; an int64 cycle would overflow.
     program = ws.kernel_program(kernel)
     launch = ws.kernel_launch(kernel, ws.bound_pattern(n).bounds, HUGE)
-    moves, _ = reference_views(program, launch)
-    rows = reference_trace(program, launch)
+    expected = stepped(program, launch)
     result = checked_run(program, launch, record_trace=True)
     assert result.spill_stores > 0
-    assert [move[5] for move in result.moves] == [move[5] for move in moves]
-    assert [row.cycle for row in result.trace] == [row.cycle for row in rows]
+    assert outcome(result) == expected
+    rows = expected["trace"]
     assert result.cycles == rows[-1].cycle > 2**100
     if kernel == "single-instrumented":  # CLOCK reads the counter at issue
         clocks = [row.cycle - HUGE.issue_cost for row in rows if row.opcode == "CLOCK"]
@@ -183,7 +146,7 @@ def test_trace_reads_as_a_sequence_of_records():
     program = ws.kernel_program("single")
     launch = ws.kernel_launch("single", ws.bound_pattern(5).bounds)
     trace = checked_run(program, launch, record_trace=True).trace
-    expected = reference_trace(program, launch)
+    expected = list(stepped(program, launch)["trace"])
     assert len(trace) == len(expected) > 10
     assert (trace[0], trace[7], trace[-1], trace[-4]) == (
         expected[0], expected[7], expected[-1], expected[-4])
