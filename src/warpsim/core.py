@@ -36,6 +36,11 @@ the results, to lanes; :class:`WarpState` and :func:`step` keep 32 lanes.
 A run is a pure function of (program, launch, profile); equal inputs
 give bit-identical results.
 
+One loop, :func:`_interpret`, executes instructions for both :func:`run`
+and :func:`step`.  It keeps the warp's pc, active mask, cycle and rows in
+locals, and writes the pc, mask, cycle and ``halted`` back to the
+:class:`WarpState` on every exit, a raise included.
+
 A run logs one packed 23-byte record per instruction that moved a stack
 token (:class:`MoveLog`, :attr:`RunResult.moves`, the run's depth
 history); its event log and trace rows are views of it.  A traced run
@@ -77,7 +82,6 @@ _MASK32 = 0xFFFFFFFF
 _BIAS = 0x80000000
 _ZEROS = (0,) * WARP_SIZE
 _NO_EVENTS: tuple = ((), None)  # step's (events, token) of an instruction that moves no token
-_NO_MOVE: tuple = (None, None)  # _exec_one's (move code, token) of one that moves no token
 
 
 class _Width:
@@ -424,180 +428,207 @@ class RunResult:
 def step(state: WarpState, program: Program):
     """Execute one instruction; returns (stack events, the token moved) or ((), None).
 
-    Dispatch order mirrors the hardware model: SSY, then predicated
-    branches, then EXIT, then the pop-bit, then plain lane-wise execution.
+    It runs :func:`run`'s loop for one instruction and decodes the move
+    record it logs, if any.
     """
     pc = state.pc
     if not 0 <= pc < len(program.instructions):
         raise ModelViolation(f"program counter {pc} out of range")
-    code, token = _exec_one(state, program.instructions[pc])
-    return _NO_EVENTS if token is None else (MOVE_EVENTS[code], token)
+    records = _interpret(state, program.instructions, 1)[5]
+    if not records:
+        return _NO_EVENTS
+    _, code, mask, pc = _EVENT_FIELDS.unpack(records)
+    return MOVE_EVENTS[code], Token(mask, _TOKEN_KINDS[code & 1], pc)
 
 
-def _exec_one(state: WarpState, ins: Instruction):
-    """Execute one instruction and charge its price to the clock.
+def _interpret(state: WarpState, instructions: Sequence[Instruction], budget: int,
+               pcs: Union[list[int], None] = None, widen: Union[dict, None] = None, wide: int = 0):
+    """The interpreter loop: execute up to ``budget`` instructions from ``state.pc``,
+    stopping after ``EXIT``, and charge each its price.
 
-    Returns (move code, the token moved), or (None, None) for an
-    instruction that moves no token.  All control flow is here;
-    :func:`_exec_plain` runs the lane-wise opcodes.
+    Dispatch order mirrors the hardware model: branches, SSY and EXIT,
+    then the pop-bit, then lane-wise execution.  A ``reg|int`` or
+    ``[reg|int]`` operand is its immediate when its register field is
+    None.  An instruction that raises leaves ``pc``, ``active_mask`` and
+    ``cycle`` as they were before it, except that a carrier's pop has
+    restored its token's mask and pc.
+
+    Each move appends one :data:`_RECORD`, its masks widened to lanes by
+    ``widen`` (class mask -> lane mask; None when each class is one lane)
+    and ``wide``, the active lanes; ``pcs`` collects each instruction's
+    pc.  Returns (instructions executed, branches, peak depth, active
+    lanes, move counts by code, move records).
     """
-    op = ins.opcode
-    if op is _SSY:
-        token = Token(state.active_mask, _SYNC, ins.target)
-        code = _MOVE_CODES[state.stack.push(token)]
-        state.pc += 1
-    elif op is _BRA:  # a bare BRA reads PT; a partial branch parks the not-taken lanes at pc+1
-        active = state.active_mask
-        taken = state.preds[PRED_PT if ins.pred is None else ins.pred] & active
-        if taken == 0 or taken == active:
-            state.pc = ins.target if taken else state.pc + 1
-            state.cycle += state._issue_cost
-            return _NO_MOVE
-        token = Token(active ^ taken, _DIV, state.pc + 1)
-        code = _MOVE_CODES[state.stack.push(token)]
-        state.active_mask = taken
-        state.pc = ins.target
-    elif op is _EXIT:
-        if state.stack.depth != 0:
-            raise ModelViolation(
-                f"EXIT with {state.stack.depth} tokens still on the stack"
-            )
-        if state.active_mask != state.launch_mask:
-            raise ModelViolation(
-                f"EXIT with active mask {_widen(state.members, state.active_mask):#010x}, "
-                f"expected launch mask {_widen(state.members, state.launch_mask):#010x}")
-        state.halted = True
-        state.cycle += state._issue_cost
-        return _NO_MOVE
-    elif ins.pop_bit:
-        token, events = state.stack.pop()
-        code = _MOVE_CODES[events]
-        state.active_mask = token.mask
-        state.pc = token.pc
-        _exec_plain(state, ins)
-    else:
-        _exec_plain(state, ins)
-        state.pc += 1
-        state.cycle += state._issue_cost
-        return _NO_MOVE
-    state.cycle += state._prices[code]
-    return code, token
-
-
-def _exec_plain(state: WarpState, ins: Instruction) -> None:
-    """Lane-wise execution of the non-control opcodes under the active mask.
-
-    A ``reg|int`` or ``[reg|int]`` operand is its immediate when its register field is None.
-    """
-    op = ins.opcode
-    if op is _NOP:
-        return
-    regs = state.regs
-    active = state.active_mask
-    width = state.width
-
-    if op is _IADD:
-        xs = regs[ins.src_a]
-        ys = ins.imm if ins.src_b is None else regs[ins.src_b]
-        if type(xs) is int and type(ys) is int:
-            if ins.src_b is None:
-                ys = (ys & _MASK32) * width.ones
-            values = (xs + ys) & width.low  # no carry leaves a 64-bit field
-        else:  # a float has no integer bits to wrap; only active lanes count
-            xs = unpack_row(xs, width)
-            ys = (ys,) * width.size if ins.src_b is None else unpack_row(ys, width)
-            values = [0] * width.size
-            for t in lanes(active):
-                if type(xs[t]) is float or type(ys[t]) is float:
+    pc, active, cycle, halted = state.pc, state.active_mask, state.cycle, state.halted
+    regs, preds, slots, width = state.regs, state.preds, state.slots, state.width
+    ones, low, sign, high, full, row_bytes, f32 = (
+        width.ones, width.low, width.sign, width.high, width.full, width.row_bytes, width.f32)
+    push, pop, depth = state.stack.push, state.stack.pop, state.stack.depth
+    issue, prices, codes, pack = state._issue_cost, state._prices, _MOVE_CODES, _RECORD.pack
+    counts, records = [0] * len(MOVE_EVENTS), bytearray()
+    trace = None if pcs is None else pcs.append
+    executed = branches = peak = fields_of = 0
+    try:
+        for executed in range(1, budget + 1):
+            ins = instructions[pc]  # a Program keeps every target, and so every pc, in range
+            op = ins.opcode
+            if trace is not None:
+                trace(pc)
+            if op is _BRA:  # a bare BRA reads PT; a partial branch parks the rest at pc+1
+                branches += 1
+                taken = preds[PRED_PT if ins.pred is None else ins.pred] & active
+                if taken == 0 or taken == active:
+                    pc = ins.target if taken else pc + 1
+                    cycle += issue
+                    continue
+                parked = active ^ taken
+                code = codes[push(Token(parked, _DIV, pc + 1))]
+                if widen is None:
+                    mask, wide = parked, taken
+                else:
+                    mask = widen.get(parked) or widen.setdefault(
+                        parked, _widen(state.members, parked))
+                    wide ^= mask
+                depth += 1
+                if depth > peak:
+                    peak = depth
+                records += pack(executed, code, mask, pc + 1, wide, depth)
+                counts[code] += 1
+                active, pc = taken, ins.target
+                cycle += prices[code]
+                continue
+            if op is _SSY:  # a SYNC token keeps the active lanes
+                code = codes[push(Token(active, _SYNC, ins.target))]
+                if widen is None:
+                    wide = active
+                else:
+                    widen[active] = wide
+                depth += 1
+                if depth > peak:
+                    peak = depth
+                records += pack(executed, code, wide, ins.target, wide, depth)
+                counts[code] += 1
+                pc += 1
+                cycle += prices[code]
+                continue
+            if op is _EXIT:
+                if depth:
+                    raise ModelViolation(f"EXIT with {depth} tokens still on the stack")
+                if active != state.launch_mask:
                     raise ModelViolation(
-                        "IADD of a float register value; IADD adds integers")
-                values[t] = _wrap32(xs[t] + ys[t])
-            values = _row(values, width)
-    elif op is _FADD:
-        imm = ins.imm
-        # Sums are exact in double precision, then rounded once to
-        # float32, which equals a correctly rounded float32 addition.
-        xs = regs[ins.src_a]
-        if type(xs) is int:
-            xs = unpack_row(xs, width)
-        try:
-            values = list(width.f32.unpack(width.f32.pack(*[x + imm for x in xs])))
-        except OverflowError:  # only active lanes must stay in float32 range
-            values = [0] * width.size
-            for t in lanes(active):
-                try:
-                    values[t] = isa.f32(xs[t] + imm)
-                except OverflowError:
-                    raise ModelViolation(f"FADD32I result {xs[t] + imm!r} in lane "
-                                         f"{lanes(state.members[t])[0]} is outside the "
-                                         "float32 range") from None
-    elif op is _ISETP:
-        va = regs[ins.src_a]
-        vb = ins.imm if ins.src_b is None else regs[ins.src_b]
-        if type(va) is int and type(vb) is int:
-            if ins.src_b is None:
-                vb = ((vb + _BIAS) & _MASK32) * width.ones
+                        f"EXIT with active mask {_widen(state.members, active):#010x}, expected "
+                        f"launch mask {_widen(state.members, state.launch_mask):#010x}")
+                halted = True
+                cycle += issue
+                break
+            if ins.pop_bit:  # restore the token's mask and pc, then execute as the carrier there
+                token, events = pop()
+                code = codes[events]
+                active = token.mask
+                nxt = pc = token.pc
+                charge = prices[code]
+                wide = active if widen is None else widen[active]  # its lanes, noted at its push
+                depth -= 1
+                records += pack(executed, code, wide, pc, wide, depth)
+                counts[code] += 1
             else:
-                vb ^= width.sign
-            # Per field, biased a + 2**32 - biased b borrows from bit 32 iff a < b.
-            diff = ((va ^ width.sign) | width.high) - vb
-            mask = int(diff.to_bytes(width.row_bytes, "big")[3::8].translate(_LT_DIGITS), 2) & active
-        else:
-            va = unpack_row(va, width)
-            vb = (vb,) * width.size if ins.src_b is None else unpack_row(vb, width)
-            mask = 0
-            for t in lanes(active):
-                if va[t] < vb[t]:
-                    mask |= 1 << t
-        pdst = ins.pdst
-        if pdst != PRED_PT:
-            state.preds[pdst] = (state.preds[pdst] & ~active & _MASK32) | mask
-        return
-    elif op is _MOV:
-        if ins.src_a is None:
-            values = (ins.imm & _MASK32) * width.ones
-        else:
-            values = regs[ins.src_a]
-            if type(values) is not int:
-                values = list(values)
-    elif op is _CLOCK:
-        values = (state.cycle & _MASK32) * width.ones
-    elif op is _STSLOT:
-        source = unpack_row(regs[ins.src_a], width)
-        slots = state.slots
-        if ins.src_b is not None:
-            indices = unpack_row(regs[ins.src_b], width)
-            for t in lanes(active):
-                index = indices[t]
-                if type(index) is not int or index < 0:
-                    raise ModelViolation(f"STSLOT slot index {index!r} in lane "
-                                         f"{lanes(state.members[t])[0]} is not an integer >= 0")
-                slots[t][index] = source[t]
-        else:
-            slot = ins.imm
-            for t in lanes(active):
-                slots[t][slot] = source[t]
-        return
-    else:  # pragma: no cover - exhaustive over opcodes
-        raise ModelViolation(f"cannot execute opcode {op.value}")
+                nxt, charge = pc + 1, issue
 
-    # Masked register write; RZ destinations are discarded.
-    dst = ins.dst
-    if dst == REG_RZ:
-        return
-    if active == width.full:
-        regs[dst] = values
-        return
-    reg = regs[dst]
-    if type(reg) is int and type(values) is int:
-        regs[dst] = reg ^ ((reg ^ values) & _field_mask(active))
-        return
-    if type(reg) is int or type(values) is int:  # the forms mix: write lane by lane
-        reg = list(unpack_row(reg, width))
-        values = unpack_row(values, width)
-    for t in lanes(active):
-        reg[t] = values[t]
-    regs[dst] = reg if op is _FADD else _row(reg, width)  # FADD32I leaves a float lane
+            if op is _IADD:
+                src_b, xs = ins.src_b, regs[ins.src_a]
+                ys = (ins.imm & _MASK32) * ones if src_b is None else regs[src_b]
+                if type(xs) is int and type(ys) is int:
+                    values = (xs + ys) & low  # no carry leaves a 64-bit field
+                else:  # a float has no integer bits to wrap; only active lanes count
+                    xs = unpack_row(xs, width)
+                    ys = (ins.imm,) * width.size if src_b is None else unpack_row(ys, width)
+                    values = [0] * width.size
+                    for t in lanes(active):
+                        if type(xs[t]) is float or type(ys[t]) is float:
+                            raise ModelViolation(
+                                "IADD of a float register value; IADD adds integers")
+                        values[t] = _wrap32(xs[t] + ys[t])
+                    values = _row(values, width)
+            elif op is _FADD:
+                # Sums are exact in double precision, then rounded once to
+                # float32, which equals a correctly rounded float32 addition.
+                imm, xs = ins.imm, regs[ins.src_a]
+                try:
+                    values = list(f32.unpack(f32.pack(
+                        *[x + imm for x in (unpack_row(xs, width) if type(xs) is int else xs)])))
+                except OverflowError:  # only active lanes must stay in float32 range
+                    xs, values = unpack_row(regs[ins.src_a], width), [0] * width.size
+                    for t in lanes(active):
+                        try:
+                            values[t] = isa.f32(xs[t] + imm)
+                        except OverflowError:
+                            raise ModelViolation(f"FADD32I result {xs[t] + imm!r} in lane "
+                                                 f"{lanes(state.members[t])[0]} is outside the "
+                                                 "float32 range") from None
+            elif op is _ISETP:
+                src_b, va = ins.src_b, regs[ins.src_a]
+                vb = ins.imm if src_b is None else regs[src_b]
+                if type(va) is int and type(vb) is int:
+                    vb = ((vb + _BIAS) & _MASK32) * ones if src_b is None else vb ^ sign
+                    # Per field, biased a + 2**32 - biased b borrows from bit 32 iff a < b.
+                    diff = (((va ^ sign) | high) - vb).to_bytes(row_bytes, "big")
+                    mask = int(diff[3::8].translate(_LT_DIGITS), 2) & active
+                else:
+                    va = unpack_row(va, width)
+                    vb = (vb,) * width.size if src_b is None else unpack_row(vb, width)
+                    mask = 0
+                    for t in lanes(active):
+                        if va[t] < vb[t]:
+                            mask |= 1 << t
+                if ins.pdst != PRED_PT:
+                    preds[ins.pdst] = (preds[ins.pdst] & ~active & _MASK32) | mask
+            elif op is _MOV:
+                if ins.src_a is None:
+                    values = (ins.imm & _MASK32) * ones
+                else:
+                    values = regs[ins.src_a]
+                    if type(values) is not int:
+                        values = list(values)
+            elif op is _CLOCK:
+                values = (cycle & _MASK32) * ones
+            elif op is _STSLOT:
+                source = unpack_row(regs[ins.src_a], width)
+                if ins.src_b is None:
+                    for t in lanes(active):
+                        slots[t][ins.imm] = source[t]
+                else:
+                    indices = unpack_row(regs[ins.src_b], width)
+                    for t in lanes(active):
+                        index = indices[t]
+                        if type(index) is not int or index < 0:
+                            raise ModelViolation(f"STSLOT slot index {index!r} in lane "
+                                                 f"{lanes(state.members[t])[0]} is not an "
+                                                 "integer >= 0")
+                        slots[t][index] = source[t]
+                    del indices
+                del source  # a live row would hold a tuple free-list slot of its width
+
+            # Masked register write: ISETP, STSLOT and NOP have no dst; RZ discards.
+            dst = ins.dst
+            if dst is not None and dst != REG_RZ:
+                if active == full:
+                    regs[dst] = values
+                elif type(reg := regs[dst]) is int and type(values) is int:
+                    if fields_of != active:  # the active lanes' field mask, kept until they change
+                        fields_of, fields = active, _field_mask(active)
+                    regs[dst] = reg ^ ((reg ^ values) & fields)
+                else:
+                    if type(reg) is int or type(values) is int:  # the forms mix: lane by lane
+                        reg = list(unpack_row(reg, width))
+                        values = unpack_row(values, width)
+                    for t in lanes(active):
+                        reg[t] = values[t]
+                    regs[dst] = reg if op is _FADD else _row(reg, width)  # FADD32I leaves a float
+            pc = nxt
+            cycle += charge
+    finally:
+        state.pc, state.active_mask, state.cycle, state.halted = pc, active, cycle, halted
+    return executed, branches, peak, wide, counts, records
 
 
 def _fold(state: WarpState) -> Union[list[int], None]:
@@ -646,47 +677,13 @@ def run(program: Program, launch: Union[LaunchConfig, None] = None, *,
     state = WarpState(program, launch)
     lanes_of = _fold(state)
     widen = None if lanes_of is None else dict(zip(_UNIT_MASKS, state.members))  # class mask -> lanes
-    wide = launch.active_mask  # the active lanes, under a fold
-
-    counts = [0] * len(MOVE_EVENTS)  # by move code
-    records = bytearray()
-    pack = _RECORD.pack
-    executed = 0
-    branches = 0
-    peak = 0
-    instructions = program.instructions
     pcs: Union[list[int], None] = [] if record_trace else None
-
-    while not state.halted:
-        if executed >= budget:
-            raise RunawayLoopError(
-                f"no EXIT after {budget} instructions; raise the budget or fix the loop"
-            )
-        pc = state.pc  # a Program keeps every target, and so every pc, in range
-        ins = instructions[pc]
-        code, token = _exec_one(state, ins)
-        executed += 1
-        if ins.opcode is _BRA:
-            branches += 1
-
-        if token is not None:  # exactly one push or pop
-            counts[code] += 1
-            depth = state.stack.depth
-            if depth > peak:
-                peak = depth
-            if widen is None:  # all lanes differ: a class mask is a lane mask
-                mask, after = token.mask, state.active_mask
-            elif code >= 4:  # a pop restores its token's lanes, noted at its push
-                mask = after = wide = widen[token.mask]
-            elif code & 1:  # a DIV push parks its token's lanes
-                mask = widen.get(token.mask) or widen.setdefault(
-                    token.mask, _widen(state.members, token.mask))
-                after = wide = wide ^ mask
-            else:  # a SYNC push keeps the active lanes in its token
-                mask = after = widen[token.mask] = wide
-            records += pack(executed, code, mask, token.pc, after, depth)
-        if record_trace:
-            pcs.append(pc)
+    instructions = program.instructions
+    executed, branches, peak, wide, counts, records = _interpret(
+        state, instructions, budget, pcs, widen, launch.active_mask)
+    if not state.halted:
+        raise RunawayLoopError(
+            f"no EXIT after {budget} instructions; raise the budget or fix the loop")
 
     moves = MoveLog(bytes(records), state._issue_cost, state._prices)
     expand = tuple if lanes_of is None else operator.itemgetter(*lanes_of)  # classes -> lanes
@@ -700,7 +697,7 @@ def run(program: Program, launch: Union[LaunchConfig, None] = None, *,
                         for reg in state.regs[:-1]),
         slots=tuple(map(dict, expand(state.slots))),
         moves=moves,
-        final_active_mask=state.active_mask if widen is None else wide,
+        final_active_mask=wide,
         launch_mask=launch.active_mask,
         trace=Trace(pcs, moves, tuple(ins.opcode.value + (".S" if ins.pop_bit else "")
                                       for ins in instructions),

@@ -203,9 +203,38 @@ class TestStep:
         assert state.preds[0] & active == active and state.preds[1] & active == 0b10011
 
     def test_pop_on_empty_stack_raises(self):
-        state, program = fresh_state("NOP.S\nEXIT")
+        state, program = fresh_state("NOP\nIADD.S R1, R1, 1\nEXIT")
+        step(state, program)
+        state.active_mask = 0x00FF00FF
+
+        def snapshot():
+            return (state.pc, state.active_mask, state.cycle, state.halted, state.stack.depth,
+                    list(state.regs), list(state.preds), repr(state.slots))
+
+        before = snapshot()
         with pytest.raises(ModelViolation, match="empty synchronization stack"):
             step(state, program)
+        assert snapshot() == before  # the raise leaves the state as it was
+
+    def test_a_carrier_that_raises_after_its_pop_keeps_the_popped_mask_and_pc(self):
+        state, program = fresh_state("FADD32I.S R1, R1, 3e38\nEXIT",
+                                     registers={"R1": [3e38] * 32})
+        state.active_mask = 0xFFFF0000
+        state.stack.push(Token(0x0000FFFF, TokenKind.DIV, 1))
+        with pytest.raises(ModelViolation, match="outside the float32 range"):
+            step(state, program)
+        assert (state.pc, state.active_mask, state.cycle) == (1, 0x0000FFFF, 0)
+        assert state.stack.depth == 0 and not state.halted
+        assert unpack_row(state.regs[1]) == [ws.f32(3e38)] * 32  # not written
+
+    def test_a_stepped_exit_halts_and_charges_the_issue_cost(self):
+        profile = dataclasses.replace(ws.KEPLER, name="slow-issue", issue_cost=7)
+        state, program = fresh_state("NOP\nEXIT", profile=profile)
+        assert step(state, program) == ((), None)
+        assert not state.halted
+        assert step(state, program) == ((), None)
+        assert state.halted
+        assert (state.pc, state.cycle) == (1, 14)
 
     def test_pc_out_of_range_raises(self):
         state, program = fresh_state()
