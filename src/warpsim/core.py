@@ -19,16 +19,17 @@ Lane state is 32-bit: integer results wrap, float results round to
 float32.  Inactive lanes never observe register, predicate, or slot
 writes.
 
-A register row takes one of two forms.  While every lane holds an int
-it is one packed Python ``int``: lane t sits in bits 64t..64t+31 as a
-uint32 two's-complement value and the upper 32 bits of each field stay
-zero, so ``IADD``, ``ISETP.LT``, ``MOV``, ``CLOCK`` and masked writes
-are a few big-int operations on all lanes at once (SWAR, "SIMD
-within a register").  A row in which some lane holds a float is a
-``list`` of lane values.  Rows are unpacked to lane values only by
+A register row takes one of two forms.  A row of ints is one packed
+Python ``int``: lane t sits in bits 64t..64t+31 as a uint32 two's-
+complement value and the upper 32 bits of each field stay zero, so
+``IADD``, ``ISETP.LT``, ``MOV``, ``CLOCK`` and masked writes are a few
+big-int operations on all lanes at once (SWAR, "SIMD within a
+register").  A row in which some lane holds a float is a ``list`` of
+lane values (a masked ``FADD32I`` or ``MOV`` writes one in place, so it
+may come to hold only ints).  Rows are unpacked to lane values only by
 ``STSLOT``, by ``FADD32I`` reading an int row, by a masked write that
-mixes the two forms, by ``IADD`` and ``ISETP.LT`` when an operand row is
-a list, and for :attr:`RunResult.registers`.
+mixes the two forms, by ``IADD`` and ``ISETP.LT`` when an operand row
+is a list, and for :attr:`RunResult.registers`.
 
 No instruction reads a lane id, so :func:`run` runs one lane per class of
 identical launch lanes (:func:`_fold`) and expands each move's masks, then
@@ -37,9 +38,10 @@ A run is a pure function of (program, launch, profile); equal inputs
 give bit-identical results.
 
 One loop, :func:`_interpret`, executes instructions for both :func:`run`
-and :func:`step`.  It keeps the warp's pc, active mask, cycle and rows in
-locals, and writes the pc, mask, cycle and ``halted`` back to the
-:class:`WarpState` on every exit, a raise included.
+and :func:`step`.  It keeps the warp's pc, active mask, cycle, rows and
+stack in locals, moves the stack's tokens itself (not through
+:class:`SyncStack`), and writes pc, mask, cycle, ``halted`` and the
+spilled count back to the :class:`WarpState` on every exit, a raise too.
 
 A run logs one packed 23-byte record per instruction that moved a stack
 token (:class:`MoveLog`, :attr:`RunResult.moves`, the run's depth
@@ -72,7 +74,8 @@ from . import isa
 from .cost import KEPLER, ArchProfile, CostEvents
 from .errors import ModelViolation, ProgramError, RunawayLoopError
 from .isa import Instruction, Opcode, PRED_PT, Program, REG_RZ
-from .stack import MOVE_EVENTS, StackEvent, Token, TokenKind
+from .stack import (DEPTH_LIMIT, EMPTY_POP, MOVE_EVENTS, PAST_DEPTH_LIMIT, StackEvent, Token,
+                    TokenKind)
 
 WARP_SIZE = 32
 FULL_MASK = 0xFFFFFFFF
@@ -144,10 +147,6 @@ def _field_mask(mask: int) -> int:
 def _widen(members: Sequence[int], mask: int) -> int:
     """The lane mask of a class mask (``members[c]``: the lanes of class c)."""
     return sum(members[c] for c in lanes(mask))
-
-
-def _wrap32(value: int) -> int:
-    return ((value + _BIAS) & _MASK32) - _BIAS
 
 
 @dataclass
@@ -244,9 +243,7 @@ _SSY, _BRA, _NOP, _IADD, _FADD, _ISETP, _MOV, _CLOCK, _STSLOT, _EXIT = (
 _SYNC, _DIV = TokenKind.SYNC, TokenKind.DIV
 _SPILL_STORE = StackEvent.SPILL_STORE
 
-# A move's code by the events SyncStack.push/pop return (stack.MOVE_EVENTS), and
-# by code: their trace names and the token kind.
-_MOVE_CODES = {events: code for code, events in enumerate(MOVE_EVENTS)}
+# By move code (its index in stack.MOVE_EVENTS): the trace names of its events.
 _MOVE_NAMES = tuple(tuple(event.name for event in events) for events in MOVE_EVENTS)
 # By StackEvent: the two move codes that raise it.
 _EVENT_CODES = tuple(tuple(code for code, events in enumerate(MOVE_EVENTS) if event in events)
@@ -446,12 +443,13 @@ def _interpret(state: WarpState, instructions: Sequence[Instruction], budget: in
     """The interpreter loop: execute up to ``budget`` instructions from ``state.pc``,
     stopping after ``EXIT``, and charge each its price.
 
-    Dispatch order mirrors the hardware model: branches, SSY and EXIT,
-    then the pop-bit, then lane-wise execution.  A ``reg|int`` or
+    Dispatch order: branches, then the pop-bit, then lane-wise execution,
+    then SSY and EXIT, which never carry the pop-bit.  A ``reg|int`` or
     ``[reg|int]`` operand is its immediate when its register field is
     None.  An instruction that raises leaves ``pc``, ``active_mask`` and
     ``cycle`` as they were before it, except that a carrier's pop has
-    restored its token's mask and pc.
+    restored its token's mask and pc.  Tokens move on ``state.stack`` by
+    :class:`SyncStack`'s rules, as plain ``(mask, kind, pc)`` tuples.
 
     Each move appends one :data:`_RECORD`, its masks widened to lanes by
     ``widen`` (class mask -> lane mask; None when each class is one lane)
@@ -463,8 +461,11 @@ def _interpret(state: WarpState, instructions: Sequence[Instruction], budget: in
     regs, preds, slots, width = state.regs, state.preds, state.slots, state.width
     ones, low, sign, high, full, row_bytes, f32 = (
         width.ones, width.low, width.sign, width.high, width.full, width.row_bytes, width.f32)
-    push, pop, depth = state.stack.push, state.stack.pop, state.stack.depth
-    issue, prices, codes, pack = state._issue_cost, state._prices, _MOVE_CODES, _RECORD.pack
+    stack = state.stack
+    tokens, spilled, chunk, depth = stack._tokens, stack._spilled, stack.spill_chunk, stack.depth
+    cap = DEPTH_LIMIT if stack.phys_capacity is None else stack.phys_capacity
+    issue, prices, pack = state._issue_cost, state._prices, _RECORD.pack
+    imms: dict[int, int] = {}  # immediate -> its packed row, widened once per run
     counts, records = [0] * len(MOVE_EVENTS), bytearray()
     trace = None if pcs is None else pcs.append
     executed = branches = peak = fields_of = 0
@@ -481,15 +482,20 @@ def _interpret(state: WarpState, instructions: Sequence[Instruction], budget: in
                     pc = ins.target if taken else pc + 1
                     cycle += issue
                     continue
+                if depth == DEPTH_LIMIT:
+                    raise ModelViolation(PAST_DEPTH_LIMIT)
                 parked = active ^ taken
-                code = codes[push(Token(parked, _DIV, pc + 1))]
+                tokens.append((parked, _DIV, pc + 1))
+                depth += 1
+                code = 1
+                if depth - spilled > cap:  # the on-chip part overflows: its oldest chunk spills
+                    code, spilled = 3, spilled + chunk
                 if widen is None:
                     mask, wide = parked, taken
                 else:
                     mask = widen.get(parked) or widen.setdefault(
                         parked, _widen(state.members, parked))
                     wide ^= mask
-                depth += 1
                 if depth > peak:
                     peak = depth
                 records += pack(executed, code, mask, pc + 1, wide, depth)
@@ -497,38 +503,16 @@ def _interpret(state: WarpState, instructions: Sequence[Instruction], budget: in
                 active, pc = taken, ins.target
                 cycle += prices[code]
                 continue
-            if op is _SSY:  # a SYNC token keeps the active lanes
-                code = codes[push(Token(active, _SYNC, ins.target))]
-                if widen is None:
-                    wide = active
-                else:
-                    widen[active] = wide
-                depth += 1
-                if depth > peak:
-                    peak = depth
-                records += pack(executed, code, wide, ins.target, wide, depth)
-                counts[code] += 1
-                pc += 1
-                cycle += prices[code]
-                continue
-            if op is _EXIT:
-                if depth:
-                    raise ModelViolation(f"EXIT with {depth} tokens still on the stack")
-                if active != state.launch_mask:
-                    raise ModelViolation(
-                        f"EXIT with active mask {_widen(state.members, active):#010x}, expected "
-                        f"launch mask {_widen(state.members, state.launch_mask):#010x}")
-                halted = True
-                cycle += issue
-                break
             if ins.pop_bit:  # restore the token's mask and pc, then execute as the carrier there
-                token, events = pop()
-                code = codes[events]
-                active = token.mask
-                nxt = pc = token.pc
-                charge = prices[code]
-                wide = active if widen is None else widen[active]  # its lanes, noted at its push
+                if not depth:
+                    raise ModelViolation(EMPTY_POP)
+                active, kind, pc = tokens.pop()
                 depth -= 1
+                code = 5 if kind is _DIV else 4
+                if depth < spilled:  # the newest spilled chunk reloads
+                    code, spilled = code + 2, spilled - chunk
+                nxt, charge = pc, prices[code]
+                wide = active if widen is None else widen[active]  # its lanes, noted at its push
                 records += pack(executed, code, wide, pc, wide, depth)
                 counts[code] += 1
             else:
@@ -536,7 +520,8 @@ def _interpret(state: WarpState, instructions: Sequence[Instruction], budget: in
 
             if op is _IADD:
                 src_b, xs = ins.src_b, regs[ins.src_a]
-                ys = (ins.imm & _MASK32) * ones if src_b is None else regs[src_b]
+                ys = (imms.get(ins.imm) or imms.setdefault(ins.imm, (ins.imm & _MASK32) * ones)
+                      if src_b is None else regs[src_b])
                 if type(xs) is int and type(ys) is int:
                     values = (xs + ys) & low  # no carry leaves a 64-bit field
                 else:  # a float has no integer bits to wrap; only active lanes count
@@ -547,13 +532,23 @@ def _interpret(state: WarpState, instructions: Sequence[Instruction], budget: in
                         if type(xs[t]) is float or type(ys[t]) is float:
                             raise ModelViolation(
                                 "IADD of a float register value; IADD adds integers")
-                        values[t] = _wrap32(xs[t] + ys[t])
+                        values[t] = ((xs[t] + ys[t] + _BIAS) & _MASK32) - _BIAS
                     values = _row(values, width)
             elif op is _FADD:
                 # Sums are exact in double precision, then rounded once to
                 # float32, which equals a correctly rounded float32 addition.
                 imm, xs = ins.imm, regs[ins.src_a]
                 try:
+                    if active != full and type(xs) is list and type(reg := regs[ins.dst]) is list:
+                        ts = lanes(active)  # a list row into a list row: the active lanes, in place
+                        sums = [xs[t] + imm for t in ts]
+                        if len(ts) == 20:
+                            sums.append(0.0)  # never a 20-tuple (see _WIDTHS)
+                        f32k = _WIDTHS[len(ts)].f32
+                        for t, value in zip(ts, f32k.unpack(f32k.pack(*sums))):
+                            reg[t] = value
+                        pc, cycle = nxt, cycle + charge
+                        continue
                     values = list(f32.unpack(f32.pack(
                         *[x + imm for x in (unpack_row(xs, width) if type(xs) is int else xs)])))
                 except OverflowError:  # only active lanes must stay in float32 range
@@ -584,11 +579,15 @@ def _interpret(state: WarpState, instructions: Sequence[Instruction], budget: in
                     preds[ins.pdst] = (preds[ins.pdst] & ~active & _MASK32) | mask
             elif op is _MOV:
                 if ins.src_a is None:
-                    values = (ins.imm & _MASK32) * ones
-                else:
-                    values = regs[ins.src_a]
-                    if type(values) is not int:
-                        values = list(values)
+                    values = imms.get(ins.imm) or imms.setdefault(ins.imm,
+                                                                  (ins.imm & _MASK32) * ones)
+                elif type(values := regs[ins.src_a]) is not int:
+                    if active != full and type(reg := regs[ins.dst]) is list:
+                        for t in lanes(active):  # a list row into a list row: the active lanes
+                            reg[t] = values[t]
+                        pc, cycle = nxt, cycle + charge
+                        continue
+                    values = list(values)
             elif op is _CLOCK:
                 values = (cycle & _MASK32) * ones
             elif op is _STSLOT:
@@ -607,6 +606,35 @@ def _interpret(state: WarpState, instructions: Sequence[Instruction], budget: in
                         slots[t][index] = source[t]
                     del indices
                 del source  # a live row would hold a tuple free-list slot of its width
+            elif op is _SSY:  # a SYNC token keeps the active lanes
+                if depth == DEPTH_LIMIT:
+                    raise ModelViolation(PAST_DEPTH_LIMIT)
+                tokens.append((active, _SYNC, ins.target))
+                depth += 1
+                code = 0
+                if depth - spilled > cap:
+                    code, spilled = 2, spilled + chunk
+                if widen is None:
+                    wide = active
+                else:
+                    widen[active] = wide
+                if depth > peak:
+                    peak = depth
+                records += pack(executed, code, wide, ins.target, wide, depth)
+                counts[code] += 1
+                pc += 1
+                cycle += prices[code]
+                continue
+            elif op is _EXIT:
+                if depth:
+                    raise ModelViolation(f"EXIT with {depth} tokens still on the stack")
+                if active != state.launch_mask:
+                    raise ModelViolation(
+                        f"EXIT with active mask {_widen(state.members, active):#010x}, expected "
+                        f"launch mask {_widen(state.members, state.launch_mask):#010x}")
+                halted = True
+                cycle += issue
+                break
 
             # Masked register write: ISETP, STSLOT and NOP have no dst; RZ discards.
             dst = ins.dst
@@ -628,6 +656,7 @@ def _interpret(state: WarpState, instructions: Sequence[Instruction], budget: in
             cycle += charge
     finally:
         state.pc, state.active_mask, state.cycle, state.halted = pc, active, cycle, halted
+        stack._spilled = spilled
     return executed, branches, peak, wide, counts, records
 
 
@@ -667,11 +696,16 @@ def run(program: Program, launch: Union[LaunchConfig, None] = None, *,
     """Run a program to EXIT and collect counters and histories.
 
     Raises :class:`RunawayLoopError` once ``budget`` instructions have
-    executed without reaching EXIT, and :class:`ModelViolation` for pops
+    executed without reaching EXIT, :class:`ProgramError` for a budget
+    that is not an int >= 0, and :class:`ModelViolation` for pops
     from an empty stack or an EXIT that leaves tokens on the stack.  With
     ``record_trace`` the result's ``trace`` is a :class:`Trace` of the run;
     otherwise it is None.
     """
+    if type(budget) is not int:  # a bool is no budget either
+        raise ProgramError(f"budget {budget!r} is not an integer")
+    if budget < 0:
+        raise ProgramError(f"budget {budget} must be >= 0")
     if launch is None:
         launch = LaunchConfig()
     state = WarpState(program, launch)

@@ -1,5 +1,9 @@
 """Synchronization-stack tokens and the capacity/spill overlay.
 
+:class:`SyncStack` is the reference model: the interpreter loop moves
+tokens on it by the same rules without calling it, and the benchmark
+replays every run's event log on a fresh one.
+
 The stack serializes divergent control flow inside a warp: a SYNC token
 records the mask to restore at a re-convergence point, a DIV token parks
 the lanes that did not take a partially taken branch.  The logical stack
@@ -30,6 +34,8 @@ _DIV = TokenKind.DIV
 # nests far less deeply (the built-in kernels reach 33); the limit bounds
 # the time and memory of a loop that pushes without popping.
 DEPTH_LIMIT = 4096
+PAST_DEPTH_LIMIT = f"push past the synchronization stack depth limit of {DEPTH_LIMIT} tokens"
+EMPTY_POP = "pop from empty synchronization stack"
 
 
 class Token(NamedTuple):
@@ -66,7 +72,8 @@ class SyncStack:
 
     One token list, oldest first; its oldest ``spilled_count`` entries
     live in backing memory.  ``phys_capacity=None`` disables spilling
-    (unbounded on-chip segment).
+    (unbounded on-chip segment).  It reads a token by position, so a
+    plain ``(mask, kind, pc)`` tuple pushed by the loop pops as a Token does.
     """
 
     __slots__ = ("phys_capacity", "spill_chunk", "_tokens", "_spilled")
@@ -101,13 +108,12 @@ class SyncStack:
 
     def push(self, token: Token) -> tuple[StackEvent, ...]:
         """Push a token, spilling the oldest chunk first if on-chip is full."""
-        div = token.kind is _DIV
-        if div and token.mask == 0:
+        div = token[1] is _DIV
+        if div and token[0] == 0:
             raise ModelViolation("DIV token with empty mask")
         tokens = self._tokens
         if len(tokens) >= DEPTH_LIMIT:
-            raise ModelViolation(
-                f"push past the synchronization stack depth limit of {DEPTH_LIMIT} tokens")
+            raise ModelViolation(PAST_DEPTH_LIMIT)
         tokens.append(token)
         cap = self.phys_capacity
         if cap is not None and len(tokens) - self._spilled > cap:
@@ -119,9 +125,9 @@ class SyncStack:
         """Pop the top token, reloading the newest spilled chunk if needed."""
         tokens = self._tokens
         if not tokens:
-            raise ModelViolation("pop from empty synchronization stack")
+            raise ModelViolation(EMPTY_POP)
         token = tokens.pop()
         if len(tokens) < self._spilled:
             self._spilled -= self.spill_chunk
-            return token, MOVE_EVENTS[6 + (token.kind is _DIV)]
-        return token, MOVE_EVENTS[4 + (token.kind is _DIV)]
+            return token, MOVE_EVENTS[6 + (token[1] is _DIV)]
+        return token, MOVE_EVENTS[4 + (token[1] is _DIV)]

@@ -1,7 +1,9 @@
 """Warp interpreter semantics: branching, pop-bit, masking, errors."""
 
 import dataclasses
+import gc
 import random
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -185,6 +187,19 @@ class TestStep:
         assert events == (StackEvent.SPILL_LOAD, StackEvent.SYNC_POP)
         assert (state.stack.onchip_count, state.stack.spilled_count) == (1, 0)
 
+    def test_the_stack_pops_the_plain_tuple_a_step_pushed(self):
+        # The loop pushes (mask, kind, pc) tuples; SyncStack reads tokens by position.
+        state, program = fresh_state("@P0 BRA 2\nNOP.S\nEXIT", profile=SMALL_STACK)
+        for pc in range(4):
+            state.stack.push(Token(FULL, TokenKind.SYNC, pc))
+        state.preds[0] = 0x1
+        step(state, program)
+        token, events = state.stack.pop()
+        assert type(token) is tuple and token == Token(FULL - 1, TokenKind.DIV, 1)
+        assert events == (StackEvent.DIV_POP,)
+        assert [state.stack.pop()[1] for _ in range(4)][-2:] == [
+            (StackEvent.SPILL_LOAD, StackEvent.SYNC_POP), (StackEvent.SYNC_POP,)]
+
     def test_isetp_on_a_float_row_compares_active_lanes_only(self):
         state, program = fresh_state(
             "FADD32I R1, RZ, 2.5\nISETP.LT P0, R1, 3\nISETP.LT P1, R2, R1\nEXIT",
@@ -253,6 +268,15 @@ class TestRun:
         # empty budget, which benchmarks/layers.py uses to time a prefix.
         with pytest.raises(RunawayLoopError, match="no EXIT after 0"):
             ws.run(ws.parse_program("EXIT"), budget=0)
+
+    @pytest.mark.parametrize("budget,message", [
+        (2.5, "budget 2.5 is not an integer"), ("3", "budget '3' is not an integer"),
+        (True, "budget True is not an integer"), (None, "budget None is not an integer"),
+        (-1, "budget -1 must be >= 0")])
+    def test_a_budget_that_is_no_int_at_least_zero_is_a_program_error(self, budget, message):
+        with pytest.raises(ProgramError) as err:
+            ws.run(ws.parse_program("EXIT"), budget=budget)
+        assert str(err.value) == message
 
     def test_exit_with_tokens_left_is_an_error(self):
         with pytest.raises(ModelViolation, match="EXIT with 1 tokens"):
@@ -528,6 +552,81 @@ class TestRun:
         assert result.trace[1].events == ("SYNC_POP",)
         assert [r.depth for r in result.trace] == [1, 0, 0]
         assert [r.ordinal for r in result.trace] == [1, 2, 3]
+
+
+# A row that mixes ints and floats, with -0.0 and both infinities.
+MIXED = [-0.0, float("inf"), 7, -3, 2.5, float("-inf"), 0, 2.0 ** 100] * 4
+ALTERNATE = 0x5A5A5A5A
+
+
+class TestActiveLanes:
+    """Under a partial mask, FADD32I and MOV of a list row write only the active lanes."""
+
+    @pytest.mark.parametrize("source", [
+        [t * 0.25 for t in range(32)],         # 32 distinct lanes: no fold
+        [(t % 4) * 0.25 for t in range(32)],   # repeated lanes: a folded run
+        MIXED[::-1],
+    ], ids=["distinct", "folded", "mixed"])
+    @pytest.mark.parametrize("text", ["FADD32I R2, R1, 1.5", "MOV R2, R1"])
+    def test_inactive_lanes_keep_their_values_bit_for_bit(self, text, source):
+        launch = ws.LaunchConfig(registers={"R1": source, "R2": MIXED}, active_mask=ALTERNATE)
+        got = checked_run(ws.parse_program(f"{text}\nEXIT"), launch).register("R2")
+        for t in range(32):
+            if ALTERNATE >> t & 1:
+                want = ws.f32(source[t] + 1.5) if text.startswith("FADD") else source[t]
+            else:
+                want = MIXED[t]
+            assert repr(got[t]) == repr(want), t
+
+    @pytest.mark.parametrize("folded", [False, True])
+    def test_an_overflow_in_an_active_lane_names_its_launch_lane(self, folded):
+        big = ws.f32(3e38)
+        values = [float(t % 4 if folded else t) for t in range(32)]
+        values[5] = values[21] = values[29] = big  # lane 5 is inactive
+        launch = ws.LaunchConfig(registers={"R1": values, "R2": [0.5] * 32},
+                                 active_mask=0xFFF00000)
+        program = ws.parse_program("FADD32I R2, R1, 3e38\nEXIT")
+        with pytest.raises(ModelViolation) as err:
+            ws.run(program, launch)
+        assert str(err.value) == (f"FADD32I result {big + big!r} in lane 21 "
+                                  "is outside the float32 range")
+        state = WarpState(program, launch)
+        with pytest.raises(ModelViolation, match="in lane 21 "):
+            step(state, program)
+        assert state.regs[2] == [0.5] * 32 and state.pc == 0
+
+    @pytest.mark.parametrize("mask", [ALTERNATE, FULL])
+    @pytest.mark.parametrize("old", [[0.5] * 32, list(range(32))], ids=["list", "packed"])
+    def test_a_copied_row_is_not_aliased(self, old, mask):
+        source = [t + 0.75 for t in range(32)]
+        launch = ws.LaunchConfig(registers={"R3": old, "R4": source}, active_mask=mask)
+        result = checked_run(ws.parse_program(
+            "MOV R3, R4\nFADD32I R4, R4, 1.0\nMOV R4, 9\nEXIT"), launch)
+        assert result.register("R3") == tuple(
+            source[t] if mask >> t & 1 else old[t] for t in range(32))
+
+    def test_a_partial_fadd_of_twenty_lanes_leaves_no_freed_rows_behind(self):
+        # As tests/test_fold.py: CPython 3.11 keeps up to 2,000 freed
+        # 20-tuples and reuses none, so 20 active lanes add and round on 21.
+        program = ws.parse_program("""
+                MOV R5, 0
+        loop:   FADD32I R1, R1, 0.5
+                IADD R5, R5, 1
+                ISETP.LT P0, R5, 3000
+                @P0 BRA loop
+                EXIT
+        """)
+        launch = ws.LaunchConfig(registers={"R1": [t + 0.25 for t in range(32)]},
+                                 active_mask=(1 << 20) - 1)
+        ws.run(program, launch)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            ws.run(program, launch)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 50_000
 
 
 class TestVerifyResult:

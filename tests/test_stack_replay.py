@@ -4,7 +4,9 @@
 ``SyncStack``: the stack must produce the logged events, spills included,
 and pop the logged tokens.  The asm-spill workload's check rests on that
 replay, so this test imports the module read-only and runs it under a
-spilling 4/2 profile.
+spilling 4/2 profile.  The interpreter loop moves tokens without calling
+``SyncStack``, so the replay is also run under every small capacity and
+chunk, where an off-by-one in the loop's spill or reload rule would show.
 """
 
 import dataclasses
@@ -12,6 +14,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import warpsim as ws
 
@@ -56,3 +59,31 @@ def test_replay_rejects_a_log_whose_pop_names_another_token():
     log[i] = log[i]._replace(token_mask=log[i].token_mask ^ 1)
     with pytest.raises(workloads.CheckFailed, match="replayed pop"):
         workloads.replay(log, SPILLING.new_stack())
+
+
+# (capacity, chunk): every on-chip capacity 1..6 and every chunk 1..capacity.
+small_stacks = st.integers(1, 6).flatmap(lambda cap: st.tuples(st.just(cap), st.integers(1, cap)))
+
+
+def with_stack(profile, stack):
+    cap, chunk = stack
+    return dataclasses.replace(profile, name=f"spill-{cap}-{chunk}", phys_capacity=cap,
+                               spill_chunk=chunk)
+
+
+@given(stack=small_stacks, kernel=st.sampled_from([k.value for k in ws.KernelId]),
+       n=st.integers(0, 31))
+@settings(max_examples=60, deadline=None)
+def test_kernel_runs_replay_under_every_small_stack(stack, kernel, n):
+    profile = with_stack(ws.KEPLER, stack)
+    replay_checked(ws.verify_result(ws.run_kernel(kernel, n, profile)), profile)
+
+
+@given(stack=small_stacks, seed=st.integers(0, 2**32 - 1), index=st.integers(0, 999))
+@settings(max_examples=60, deadline=None)
+def test_generated_programs_replay_under_every_small_stack(stack, seed, index):
+    profile = with_stack(ASM_PROFILE, stack)
+    gen = asmgen.generate(seed, index)
+    result = ws.verify_result(ws.run(ws.parse_program(gen.text),
+                                     ws.LaunchConfig(registers=gen.launch, profile=profile)))
+    replay_checked(result, profile)
