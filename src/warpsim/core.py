@@ -84,7 +84,6 @@ DEFAULT_BUDGET = 10_000_000
 _MASK32 = 0xFFFFFFFF
 _BIAS = 0x80000000
 _ZEROS = (0,) * WARP_SIZE
-_NO_EVENTS: tuple = ((), None)  # step's (events, token) of an instruction that moves no token
 
 
 class _Width:
@@ -237,9 +236,9 @@ def _launch_value(name: str, value) -> Union[int, float]:
 # Enum members as module globals for the per-instruction and per-move paths:
 # on CPython 3.11 an ``Opcode.X`` read goes through ``EnumType.__getattr__``
 # and costs about ten global reads.
-_SSY, _BRA, _NOP, _IADD, _FADD, _ISETP, _MOV, _CLOCK, _STSLOT, _EXIT = (
-    Opcode.SSY, Opcode.BRA, Opcode.NOP, Opcode.IADD, Opcode.FADD_IMM, Opcode.ISETP_LT,
-    Opcode.MOV, Opcode.CLOCK, Opcode.STORE_SLOT, Opcode.EXIT)
+_BRA, _IADD, _FADD, _ISETP, _MOV, _CLOCK, _STSLOT, _EXIT = (
+    Opcode.BRA, Opcode.IADD, Opcode.FADD_IMM, Opcode.ISETP_LT, Opcode.MOV, Opcode.CLOCK,
+    Opcode.STORE_SLOT, Opcode.EXIT)
 _SYNC, _DIV = TokenKind.SYNC, TokenKind.DIV
 _SPILL_STORE = StackEvent.SPILL_STORE
 
@@ -425,17 +424,18 @@ class RunResult:
 def step(state: WarpState, program: Program):
     """Execute one instruction; returns (stack events, the token moved) or ((), None).
 
-    It runs :func:`run`'s loop for one instruction and decodes the move
-    record it logs, if any.
+    It runs :func:`run`'s loop for one instruction and reads the move
+    record it logs, if any, through :class:`MoveLog`.  A halted warp
+    raises :class:`ModelViolation` and is left as it was.
     """
-    pc = state.pc
-    if not 0 <= pc < len(program.instructions):
-        raise ModelViolation(f"program counter {pc} out of range")
+    if state.halted:
+        raise ModelViolation("step after EXIT: the warp has halted")
+    if not 0 <= state.pc < len(program.instructions):
+        raise ModelViolation(f"program counter {state.pc} out of range")
     records = _interpret(state, program.instructions, 1)[5]
-    if not records:
-        return _NO_EVENTS
-    _, code, mask, pc = _EVENT_FIELDS.unpack(records)
-    return MOVE_EVENTS[code], Token(mask, _TOKEN_KINDS[code & 1], pc)
+    for _, events, token, *_ in MoveLog(bytes(records), state._issue_cost, state._prices):
+        return events, token
+    return (), None
 
 
 def _interpret(state: WarpState, instructions: Sequence[Instruction], budget: int,
@@ -443,8 +443,10 @@ def _interpret(state: WarpState, instructions: Sequence[Instruction], budget: in
     """The interpreter loop: execute up to ``budget`` instructions from ``state.pc``,
     stopping after ``EXIT``, and charge each its price.
 
-    Dispatch order: branches, then the pop-bit, then lane-wise execution,
-    then SSY and EXIT, which never carry the pop-bit.  A ``reg|int`` or
+    Dispatch order: an instruction with a target (``SSY`` or ``BRA``,
+    which never carry the pop-bit) takes the one push path, where ``SSY``
+    pushes a SYNC token and a partial ``BRA`` a DIV token; then the
+    pop-bit, then lane-wise execution, ending at EXIT.  A ``reg|int`` or
     ``[reg|int]`` operand is its immediate when its register field is
     None.  An instruction that raises leaves ``pc``, ``active_mask`` and
     ``cycle`` as they were before it, except that a carrier's pop has
@@ -475,32 +477,37 @@ def _interpret(state: WarpState, instructions: Sequence[Instruction], budget: in
             op = ins.opcode
             if trace is not None:
                 trace(pc)
-            if op is _BRA:  # a bare BRA reads PT; a partial branch parks the rest at pc+1
-                branches += 1
-                taken = preds[PRED_PT if ins.pred is None else ins.pred] & active
-                if taken == 0 or taken == active:
-                    pc = ins.target if taken else pc + 1
-                    cycle += issue
-                    continue
+            if ins.target is not None:  # SSY or BRA, the opcodes with a target (isa.SPECS)
+                if op is _BRA:  # a bare BRA reads PT; a partial branch parks the rest at pc+1
+                    branches += 1
+                    taken = preds[PRED_PT if ins.pred is None else ins.pred] & active
+                    if taken == 0 or taken == active:
+                        pc = ins.target if taken else pc + 1
+                        cycle += issue
+                        continue
+                    mask, kind, to, code = active ^ taken, _DIV, pc + 1, 1
+                    nxt, after = ins.target, taken
+                else:  # SSY: a SYNC token keeps the active lanes until its target
+                    mask, kind, to, code = active, _SYNC, ins.target, 0
+                    nxt, after = pc + 1, active
                 if depth == DEPTH_LIMIT:
                     raise ModelViolation(PAST_DEPTH_LIMIT)
-                parked = active ^ taken
-                tokens.append((parked, _DIV, pc + 1))
+                tokens.append((mask, kind, to))
                 depth += 1
-                code = 1
                 if depth - spilled > cap:  # the on-chip part overflows: its oldest chunk spills
-                    code, spilled = 3, spilled + chunk
+                    code, spilled = code + 2, spilled + chunk
                 if widen is None:
-                    mask, wide = parked, taken
-                else:
-                    mask = widen.get(parked) or widen.setdefault(
-                        parked, _widen(state.members, parked))
+                    wide = after
+                elif kind is _DIV:
+                    mask = widen.get(mask) or widen.setdefault(mask, _widen(state.members, mask))
                     wide ^= mask
+                else:  # the SYNC token's lanes, for its pop
+                    widen[active] = mask = wide
                 if depth > peak:
                     peak = depth
-                records += pack(executed, code, mask, pc + 1, wide, depth)
+                records += pack(executed, code, mask, to, wide, depth)
                 counts[code] += 1
-                active, pc = taken, ins.target
+                active, pc = after, nxt
                 cycle += prices[code]
                 continue
             if ins.pop_bit:  # restore the token's mask and pc, then execute as the carrier there
@@ -581,13 +588,8 @@ def _interpret(state: WarpState, instructions: Sequence[Instruction], budget: in
                 if ins.src_a is None:
                     values = imms.get(ins.imm) or imms.setdefault(ins.imm,
                                                                   (ins.imm & _MASK32) * ones)
-                elif type(values := regs[ins.src_a]) is not int:
-                    if active != full and type(reg := regs[ins.dst]) is list:
-                        for t in lanes(active):  # a list row into a list row: the active lanes
-                            reg[t] = values[t]
-                        pc, cycle = nxt, cycle + charge
-                        continue
-                    values = list(values)
+                elif type(values := regs[ins.src_a]) is not int and active == full:
+                    values = list(values)  # a copy: regs[dst] = values would alias the source
             elif op is _CLOCK:
                 values = (cycle & _MASK32) * ones
             elif op is _STSLOT:
@@ -606,25 +608,6 @@ def _interpret(state: WarpState, instructions: Sequence[Instruction], budget: in
                         slots[t][index] = source[t]
                     del indices
                 del source  # a live row would hold a tuple free-list slot of its width
-            elif op is _SSY:  # a SYNC token keeps the active lanes
-                if depth == DEPTH_LIMIT:
-                    raise ModelViolation(PAST_DEPTH_LIMIT)
-                tokens.append((active, _SYNC, ins.target))
-                depth += 1
-                code = 0
-                if depth - spilled > cap:
-                    code, spilled = 2, spilled + chunk
-                if widen is None:
-                    wide = active
-                else:
-                    widen[active] = wide
-                if depth > peak:
-                    peak = depth
-                records += pack(executed, code, wide, ins.target, wide, depth)
-                counts[code] += 1
-                pc += 1
-                cycle += prices[code]
-                continue
             elif op is _EXIT:
                 if depth:
                     raise ModelViolation(f"EXIT with {depth} tokens still on the stack")
@@ -645,10 +628,11 @@ def _interpret(state: WarpState, instructions: Sequence[Instruction], budget: in
                     if fields_of != active:  # the active lanes' field mask, kept until they change
                         fields_of, fields = active, _field_mask(active)
                     regs[dst] = reg ^ ((reg ^ values) & fields)
-                else:
-                    if type(reg) is int or type(values) is int:  # the forms mix: lane by lane
-                        reg = list(unpack_row(reg, width))
-                        values = unpack_row(values, width)
+                elif type(reg) is list and type(values) is list:  # FADD32I or MOV: in place
+                    for t in lanes(active):
+                        reg[t] = values[t]
+                else:  # the forms mix: lane by lane
+                    reg, values = list(unpack_row(reg, width)), unpack_row(values, width)
                     for t in lanes(active):
                         reg[t] = values[t]
                     regs[dst] = reg if op is _FADD else _row(reg, width)  # FADD32I leaves a float

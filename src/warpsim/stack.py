@@ -27,7 +27,7 @@ class TokenKind(Enum):
     DIV = "DIV"    # pushed by a partially taken branch; holds the not-taken lanes
 
 
-# A global read, not ``TokenKind.DIV`` (``EnumType.__getattr__``), on every push and pop.
+# A global read, not ``TokenKind.DIV`` (``EnumType.__getattr__``), in ``push`` and ``pop``.
 _DIV = TokenKind.DIV
 
 # Logical depth past which a push is a model violation.  Structured code
@@ -60,8 +60,7 @@ class StackEvent(IntEnum):
 
 # The events of each kind of stack move, indexed by its move code: 4 for a
 # pop, plus 2 for a spill, plus 1 for a DIV token.  ``SyncStack.push``/``pop``
-# return these very tuples, so the hot path neither allocates nor hashes a
-# ``TokenKind`` (``Enum.__hash__`` is Python).
+# return these very tuples, and the interpreter's move records store the code.
 MOVE_EVENTS = tuple(((StackEvent.SPILL_LOAD if pop else StackEvent.SPILL_STORE,) if spill else ())
                     + (StackEvent(2 * pop + div),)
                     for pop in (0, 1) for spill in (0, 1) for div in (0, 1))

@@ -250,6 +250,10 @@ class TestStep:
         assert step(state, program) == ((), None)
         assert state.halted
         assert (state.pc, state.cycle) == (1, 14)
+        with pytest.raises(ModelViolation, match="step after EXIT: the warp has halted"):
+            step(state, program)
+        assert state.halted
+        assert (state.pc, state.cycle) == (1, 14)
 
     def test_pc_out_of_range_raises(self):
         state, program = fresh_state()

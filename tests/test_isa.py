@@ -234,6 +234,39 @@ def test_every_opcode_has_one_spec_row_and_decode_kinds():
     assert list(isa.SPECS) == list(ws.Opcode)
 
 
+def test_only_ssy_and_bra_take_a_target():
+    # core._interpret sends every instruction with a target down its push path.
+    assert [op for op, spec in isa.SPECS.items()
+            if "target" not in spec.unused] == [ws.Opcode.SSY, ws.Opcode.BRA]
+
+
+# A valid instruction of each opcode without a target operand.
+_UNTARGETED = {
+    ws.Opcode.NOP: isa.Instruction(ws.Opcode.NOP),
+    ws.Opcode.IADD: isa.Instruction(ws.Opcode.IADD, dst=0, src_a=0, imm=1),
+    ws.Opcode.FADD_IMM: isa.Instruction(ws.Opcode.FADD_IMM, dst=0, src_a=0, imm=0.5),
+    ws.Opcode.ISETP_LT: isa.Instruction(ws.Opcode.ISETP_LT, pdst=0, src_a=0, imm=1),
+    ws.Opcode.MOV: isa.Instruction(ws.Opcode.MOV, dst=0, imm=1),
+    ws.Opcode.CLOCK: isa.Instruction(ws.Opcode.CLOCK, dst=0),
+    ws.Opcode.STORE_SLOT: isa.Instruction(ws.Opcode.STORE_SLOT, src_a=0, imm=0),
+    ws.Opcode.EXIT: isa.Instruction(ws.Opcode.EXIT),
+}
+
+
+def test_every_untargeted_opcode_has_a_case():
+    assert set(_UNTARGETED) == set(ws.Opcode) - {ws.Opcode.SSY, ws.Opcode.BRA}
+
+
+@pytest.mark.parametrize("op", list(_UNTARGETED), ids=lambda op: op.value)
+def test_a_target_on_an_opcode_without_one_is_rejected(op):
+    ins = _UNTARGETED[op]
+    exit_ins = () if op is ws.Opcode.EXIT else (isa.Instruction(ws.Opcode.EXIT),)
+    isa.Program((ins,) + exit_ins)  # valid without the target
+    with pytest.raises(ProgramError) as err:
+        isa.Program((dataclasses.replace(ins, target=0),) + exit_ins)
+    assert str(err.value) == f"instruction 0 ({op.value}): unexpected operand target"
+
+
 def test_a_directly_built_program_is_checked_at_construction():
     with pytest.raises(ProgramError, match="32-bit"):
         isa.Program(instructions=(isa.Instruction(ws.Opcode.MOV, dst=0, imm=1 << 40),
