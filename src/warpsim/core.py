@@ -38,10 +38,10 @@ A run is a pure function of (program, launch, profile); equal inputs
 give bit-identical results.
 
 One loop, :func:`_interpret`, executes instructions for both :func:`run`
-and :func:`step`.  It keeps the warp's pc, active mask, cycle, rows and
-stack in locals, moves the stack's tokens itself (not through
-:class:`SyncStack`), and writes pc, mask, cycle, ``halted`` and the
-spilled count back to the :class:`WarpState` on every exit, a raise too.
+and :func:`step`.  It keeps the warp's pc, active mask, cycle and rows in
+locals, moves the tokens of the warp's own stack, :attr:`WarpState.tokens`,
+and writes pc, mask, cycle, ``halted`` and the spilled count back to the
+:class:`WarpState` on every exit, a raise too.
 
 A run logs one packed 23-byte record per instruction that moved a stack
 token (:class:`MoveLog`, :attr:`RunResult.moves`, the run's depth
@@ -163,10 +163,14 @@ class LaunchConfig:
 
 
 class WarpState:
-    """Mutable state of one warp; lane c stands for the launch lanes ``members[c]``."""
+    """Mutable state of one warp; lane c stands for the launch lanes ``members[c]``.
 
-    __slots__ = ("pc", "active_mask", "launch_mask", "regs", "preds", "stack", "cycle",
-                 "halted", "slots", "width", "members", "_issue_cost", "_prices")
+    ``tokens``: its stack, ``(mask, kind, pc)`` tuples (a :class:`Token` is one) oldest
+    first, the oldest ``spilled`` in backing memory, sized and priced by ``profile``.
+    """
+
+    __slots__ = ("pc", "active_mask", "launch_mask", "regs", "preds", "tokens", "spilled",
+                 "cycle", "halted", "slots", "width", "members", "profile")
 
     def __init__(self, program: Program, launch: LaunchConfig):
         if type(launch.active_mask) is not int:
@@ -188,12 +192,12 @@ class WarpState:
             names[index] = name
             self.regs[index] = _launch_row(name, values)
         self.preds = [0] * program.predicate_file_size + [_MASK32]  # PT (index -1)
-        self.stack = launch.profile.new_stack()
+        self.tokens: list[tuple[int, int, int]] = []
+        self.spilled = 0
         self.cycle = 0
         self.halted = False
         self.slots: list[dict[int, Union[int, float]]] = [{} for _ in range(WARP_SIZE)]
-        self.width, self.members = _W32, _UNIT_MASKS
-        self._issue_cost, self._prices = launch.profile.issue_cost, launch.profile.move_prices
+        self.width, self.members, self.profile = _W32, _UNIT_MASKS, launch.profile
 
 
 def _launch_row(name: str, values: Sequence) -> Union[int, list]:
@@ -239,7 +243,6 @@ def _launch_value(name: str, value) -> Union[int, float]:
 _BRA, _IADD, _FADD, _ISETP, _MOV, _CLOCK, _STSLOT, _EXIT = (
     Opcode.BRA, Opcode.IADD, Opcode.FADD_IMM, Opcode.ISETP_LT, Opcode.MOV, Opcode.CLOCK,
     Opcode.STORE_SLOT, Opcode.EXIT)
-_SYNC, _DIV = TokenKind.SYNC, TokenKind.DIV
 _SPILL_STORE = StackEvent.SPILL_STORE
 
 # By move code (its index in stack.MOVE_EVENTS): the trace names of its events.
@@ -247,7 +250,6 @@ _MOVE_NAMES = tuple(tuple(event.name for event in events) for events in MOVE_EVE
 # By StackEvent: the two move codes that raise it.
 _EVENT_CODES = tuple(tuple(code for code, events in enumerate(MOVE_EVENTS) if event in events)
                      for event in StackEvent)
-_TOKEN_KINDS = (_SYNC, _DIV)  # by code & 1
 # One move: ordinal, code, token mask, token pc, active mask after, depth after
 # (stack.DEPTH_LIMIT keeps it in 16 bits); 23 bytes, no padding.
 _RECORD = struct.Struct("<qBIIIH")
@@ -286,7 +288,7 @@ class MoveLog:
         for ordinal, code, mask, pc, after, depth in _RECORD.iter_unpack(self.records):
             cycle += issue * (ordinal - done - 1) + prices[code]
             done = ordinal
-            yield (ordinal, MOVE_EVENTS[code], Token(mask, _TOKEN_KINDS[code & 1], pc),
+            yield (ordinal, MOVE_EVENTS[code], Token(mask, TokenKind(code & 1), pc),
                    after, depth, cycle)
 
 
@@ -433,7 +435,8 @@ def step(state: WarpState, program: Program):
     if not 0 <= state.pc < len(program.instructions):
         raise ModelViolation(f"program counter {state.pc} out of range")
     records = _interpret(state, program.instructions, 1)[5]
-    for _, events, token, *_ in MoveLog(bytes(records), state._issue_cost, state._prices):
+    profile = state.profile
+    for _, events, token, *_ in MoveLog(bytes(records), profile.issue_cost, profile.move_prices):
         return events, token
     return (), None
 
@@ -450,8 +453,9 @@ def _interpret(state: WarpState, instructions: Sequence[Instruction], budget: in
     ``[reg|int]`` operand is its immediate when its register field is
     None.  An instruction that raises leaves ``pc``, ``active_mask`` and
     ``cycle`` as they were before it, except that a carrier's pop has
-    restored its token's mask and pc.  Tokens move on ``state.stack`` by
-    :class:`SyncStack`'s rules, as plain ``(mask, kind, pc)`` tuples.
+    restored its token's mask and pc.  Tokens move on ``state.tokens`` by
+    the rules of :mod:`stack` under ``state.profile``; a token's kind is its
+    push's move code before any spill, and a pop's code is 4 plus it.
 
     Each move appends one :data:`_RECORD`, its masks widened to lanes by
     ``widen`` (class mask -> lane mask; None when each class is one lane)
@@ -463,10 +467,9 @@ def _interpret(state: WarpState, instructions: Sequence[Instruction], budget: in
     regs, preds, slots, width = state.regs, state.preds, state.slots, state.width
     ones, low, sign, high, full, row_bytes, f32 = (
         width.ones, width.low, width.sign, width.high, width.full, width.row_bytes, width.f32)
-    stack = state.stack
-    tokens, spilled, chunk, depth = stack._tokens, stack._spilled, stack.spill_chunk, stack.depth
-    cap = DEPTH_LIMIT if stack.phys_capacity is None else stack.phys_capacity
-    issue, prices, pack = state._issue_cost, state._prices, _RECORD.pack
+    tokens, spilled, profile = state.tokens, state.spilled, state.profile
+    cap, chunk, depth = profile.phys_capacity or DEPTH_LIMIT, profile.spill_chunk, len(tokens)
+    issue, prices, pack = profile.issue_cost, profile.move_prices, _RECORD.pack
     imms: dict[int, int] = {}  # immediate -> its packed row, widened once per run
     counts, records = [0] * len(MOVE_EVENTS), bytearray()
     trace = None if pcs is None else pcs.append
@@ -485,20 +488,20 @@ def _interpret(state: WarpState, instructions: Sequence[Instruction], budget: in
                         pc = ins.target if taken else pc + 1
                         cycle += issue
                         continue
-                    mask, kind, to, code = active ^ taken, _DIV, pc + 1, 1
+                    mask, code, to = active ^ taken, 1, pc + 1  # a DIV token
                     nxt, after = ins.target, taken
                 else:  # SSY: a SYNC token keeps the active lanes until its target
-                    mask, kind, to, code = active, _SYNC, ins.target, 0
+                    mask, code, to = active, 0, ins.target
                     nxt, after = pc + 1, active
                 if depth == DEPTH_LIMIT:
                     raise ModelViolation(PAST_DEPTH_LIMIT)
-                tokens.append((mask, kind, to))
+                tokens.append((mask, code, to))
                 depth += 1
                 if depth - spilled > cap:  # the on-chip part overflows: its oldest chunk spills
                     code, spilled = code + 2, spilled + chunk
                 if widen is None:
                     wide = after
-                elif kind is _DIV:
+                elif code & 1:  # a DIV token's lanes
                     mask = widen.get(mask) or widen.setdefault(mask, _widen(state.members, mask))
                     wide ^= mask
                 else:  # the SYNC token's lanes, for its pop
@@ -513,9 +516,9 @@ def _interpret(state: WarpState, instructions: Sequence[Instruction], budget: in
             if ins.pop_bit:  # restore the token's mask and pc, then execute as the carrier there
                 if not depth:
                     raise ModelViolation(EMPTY_POP)
-                active, kind, pc = tokens.pop()
+                active, code, pc = tokens.pop()
                 depth -= 1
-                code = 5 if kind is _DIV else 4
+                code += 4
                 if depth < spilled:  # the newest spilled chunk reloads
                     code, spilled = code + 2, spilled - chunk
                 nxt, charge = pc, prices[code]
@@ -532,8 +535,7 @@ def _interpret(state: WarpState, instructions: Sequence[Instruction], budget: in
                 if type(xs) is int and type(ys) is int:
                     values = (xs + ys) & low  # no carry leaves a 64-bit field
                 else:  # a float has no integer bits to wrap; only active lanes count
-                    xs = unpack_row(xs, width)
-                    ys = (ins.imm,) * width.size if src_b is None else unpack_row(ys, width)
+                    xs, ys = unpack_row(xs, width), unpack_row(ys, width)
                     values = [0] * width.size
                     for t in lanes(active):
                         if type(xs[t]) is float or type(ys[t]) is float:
@@ -569,16 +571,14 @@ def _interpret(state: WarpState, instructions: Sequence[Instruction], budget: in
                                                  "float32 range") from None
             elif op is _ISETP:
                 src_b, va = ins.src_b, regs[ins.src_a]
-                vb = ins.imm if src_b is None else regs[src_b]
+                vb = (imms.get(ins.imm) or imms.setdefault(ins.imm, (ins.imm & _MASK32) * ones)
+                      if src_b is None else regs[src_b])
                 if type(va) is int and type(vb) is int:
-                    vb = ((vb + _BIAS) & _MASK32) * ones if src_b is None else vb ^ sign
                     # Per field, biased a + 2**32 - biased b borrows from bit 32 iff a < b.
-                    diff = (((va ^ sign) | high) - vb).to_bytes(row_bytes, "big")
+                    diff = (((va ^ sign) | high) - (vb ^ sign)).to_bytes(row_bytes, "big")
                     mask = int(diff[3::8].translate(_LT_DIGITS), 2) & active
                 else:
-                    va = unpack_row(va, width)
-                    vb = (vb,) * width.size if src_b is None else unpack_row(vb, width)
-                    mask = 0
+                    va, vb, mask = unpack_row(va, width), unpack_row(vb, width), 0
                     for t in lanes(active):
                         if va[t] < vb[t]:
                             mask |= 1 << t
@@ -640,7 +640,7 @@ def _interpret(state: WarpState, instructions: Sequence[Instruction], budget: in
             cycle += charge
     finally:
         state.pc, state.active_mask, state.cycle, state.halted = pc, active, cycle, halted
-        stack._spilled = spilled
+        state.spilled = spilled
     return executed, branches, peak, wide, counts, records
 
 
@@ -703,7 +703,7 @@ def run(program: Program, launch: Union[LaunchConfig, None] = None, *,
         raise RunawayLoopError(
             f"no EXIT after {budget} instructions; raise the budget or fix the loop")
 
-    moves = MoveLog(bytes(records), state._issue_cost, state._prices)
+    moves = MoveLog(bytes(records), state.profile.issue_cost, state.profile.move_prices)
     expand = tuple if lanes_of is None else operator.itemgetter(*lanes_of)  # classes -> lanes
     return RunResult(
         events=CostEvents(*[counts[a] + counts[b] for a, b in _EVENT_CODES]),

@@ -1,8 +1,9 @@
 """Synchronization-stack tokens and the capacity/spill overlay.
 
-:class:`SyncStack` is the reference model: the interpreter loop moves
-tokens on it by the same rules without calling it, and the benchmark
-replays every run's event log on a fresh one.
+:class:`SyncStack` is the reference model of the stack.  A warp keeps
+its own token list (``WarpState.tokens``), which the interpreter loop
+moves by the same rules; the benchmark and the tests replay run event
+logs on a fresh :class:`SyncStack`.
 
 The stack serializes divergent control flow inside a warp: a SYNC token
 records the mask to restore at a re-convergence point, a DIV token parks
@@ -16,19 +17,18 @@ recently spilled chunk (one SPILL_LOAD event).
 
 from __future__ import annotations
 
-from enum import Enum, IntEnum
+from enum import IntEnum
 from typing import NamedTuple
 
 from .errors import ModelViolation, ProgramError
 
 
-class TokenKind(Enum):
-    SYNC = "SYNC"  # pushed by SSY; restores the mask captured there
-    DIV = "DIV"    # pushed by a partially taken branch; holds the not-taken lanes
+class TokenKind(IntEnum):
+    """A token's kind: the DIV bit (bit 0) of its moves' codes in :data:`MOVE_EVENTS`."""
 
+    SYNC = 0  # pushed by SSY; restores the mask captured there
+    DIV = 1   # pushed by a partially taken branch; holds the not-taken lanes
 
-# A global read, not ``TokenKind.DIV`` (``EnumType.__getattr__``), in ``push`` and ``pop``.
-_DIV = TokenKind.DIV
 
 # Logical depth past which a push is a model violation.  Structured code
 # nests far less deeply (the built-in kernels reach 33); the limit bounds
@@ -58,8 +58,8 @@ class StackEvent(IntEnum):
     SPILL_LOAD = 5
 
 
-# The events of each kind of stack move, indexed by its move code: 4 for a
-# pop, plus 2 for a spill, plus 1 for a DIV token.  ``SyncStack.push``/``pop``
+# The events of each kind of stack move, indexed by its move code: 4 for a pop,
+# plus 2 for a spill, plus the token's kind (1 for DIV).  ``SyncStack.push``/``pop``
 # return these very tuples, and the interpreter's move records store the code.
 MOVE_EVENTS = tuple(((StackEvent.SPILL_LOAD if pop else StackEvent.SPILL_STORE,) if spill else ())
                     + (StackEvent(2 * pop + div),)
@@ -71,8 +71,7 @@ class SyncStack:
 
     One token list, oldest first; its oldest ``spilled_count`` entries
     live in backing memory.  ``phys_capacity=None`` disables spilling
-    (unbounded on-chip segment).  It reads a token by position, so a
-    plain ``(mask, kind, pc)`` tuple pushed by the loop pops as a Token does.
+    (unbounded on-chip segment).
     """
 
     __slots__ = ("phys_capacity", "spill_chunk", "_tokens", "_spilled")
@@ -107,8 +106,8 @@ class SyncStack:
 
     def push(self, token: Token) -> tuple[StackEvent, ...]:
         """Push a token, spilling the oldest chunk first if on-chip is full."""
-        div = token[1] is _DIV
-        if div and token[0] == 0:
+        kind = token.kind
+        if kind and token.mask == 0:  # a DIV token
             raise ModelViolation("DIV token with empty mask")
         tokens = self._tokens
         if len(tokens) >= DEPTH_LIMIT:
@@ -117,8 +116,8 @@ class SyncStack:
         cap = self.phys_capacity
         if cap is not None and len(tokens) - self._spilled > cap:
             self._spilled += self.spill_chunk
-            return MOVE_EVENTS[2 + div]
-        return MOVE_EVENTS[div]
+            return MOVE_EVENTS[2 + kind]
+        return MOVE_EVENTS[kind]
 
     def pop(self) -> tuple[Token, tuple[StackEvent, ...]]:
         """Pop the top token, reloading the newest spilled chunk if needed."""
@@ -128,5 +127,5 @@ class SyncStack:
         token = tokens.pop()
         if len(tokens) < self._spilled:
             self._spilled -= self.spill_chunk
-            return token, MOVE_EVENTS[6 + (token[1] is _DIV)]
-        return token, MOVE_EVENTS[4 + (token[1] is _DIV)]
+            return token, MOVE_EVENTS[6 + token.kind]
+        return token, MOVE_EVENTS[4 + token.kind]

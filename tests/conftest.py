@@ -43,7 +43,7 @@ def stepped(program, launch, budget=ws.DEFAULT_BUDGET):
             ordinal = len(trace) + 1
             trace.append(ws.TraceRecord(
                 ordinal, pc, ins.opcode.value + (".S" if ins.pop_bit else ""),
-                state.active_mask, state.stack.depth, tuple(event.name for event in events),
+                state.active_mask, len(state.tokens), tuple(event.name for event in events),
                 state.cycle))
             for event in events:
                 counts[event] += 1
@@ -51,7 +51,7 @@ def stepped(program, launch, budget=ws.DEFAULT_BUDGET):
                 log.append(ws.EventRecord(ordinal, event, None if spill else token.mask,
                                           None if spill else token.pc))
             if events:
-                moves.append((ordinal, events, token, state.active_mask, state.stack.depth,
+                moves.append((ordinal, events, token, state.active_mask, len(state.tokens),
                               state.cycle))
     except ws.ModelViolation as exc:  # RunawayLoopError included
         return type(exc), str(exc)

@@ -94,14 +94,14 @@ class TestPredicatedBranch:
         assert branch(state, program, predicate=0) == ((), None)
         assert state.pc == 6
         assert state.active_mask == FULL
-        assert state.stack.depth == 0
+        assert state.tokens == []
 
     def test_all_taken_jumps_without_push(self):
         state, program = branch_state(pc=5, target=2)
         assert branch(state, program, predicate=FULL) == ((), None)
         assert state.pc == 2
         assert state.active_mask == FULL
-        assert state.stack.depth == 0
+        assert state.tokens == []
 
     def test_partial_pushes_not_taken_lanes(self):
         state, program = branch_state(pc=9, target=2)
@@ -138,7 +138,7 @@ class TestPredicatedBranch:
                 assert events == (StackEvent.DIV_PUSH,)
                 assert token.mask & state.active_mask == 0
                 assert token.mask | state.active_mask == active
-                state.stack.pop()
+                state.tokens.pop()
 
 
 class TestStep:
@@ -151,7 +151,7 @@ class TestStep:
 
     def test_pop_restores_mask_and_pc_then_executes_carrier(self):
         state, program = fresh_state("IADD.S R1, R1, 1\nEXIT")
-        state.stack.push(Token(0x40000000, TokenKind.DIV, 0))
+        state.tokens.append(Token(0x40000000, TokenKind.DIV, 0))
         step(state, program)
         assert state.active_mask == 0x40000000
         assert state.pc == 0  # token pointed back at the carrier
@@ -163,7 +163,7 @@ class TestStep:
     def test_sync_pop_restores_full_mask(self):
         state, program = fresh_state("NOP.S\nEXIT")
         state.active_mask = 0x40000000
-        state.stack.push(Token(FULL, TokenKind.SYNC, 1))
+        state.tokens.append(Token(FULL, TokenKind.SYNC, 1))
         events, token = step(state, program)
         assert events == (StackEvent.SYNC_POP,)
         assert token == Token(FULL, TokenKind.SYNC, 1)
@@ -172,50 +172,48 @@ class TestStep:
 
     def test_spilling_push_and_reloading_pop_return_both_events(self):
         state, program = fresh_state("@P0 BRA 2\nNOP.S\nEXIT", profile=SMALL_STACK)
-        for pc in range(4):
-            state.stack.push(Token(FULL, TokenKind.SYNC, pc))
+        state.tokens.extend(Token(FULL, TokenKind.SYNC, pc) for pc in range(4))  # on-chip: full
         state.preds[0] = 0x1
         events, token = step(state, program)
         assert events == (StackEvent.SPILL_STORE, StackEvent.DIV_PUSH)
         assert token == Token(FULL - 1, TokenKind.DIV, 1)
-        assert (state.stack.onchip_count, state.stack.spilled_count) == (3, 2)
+        assert (len(state.tokens), state.spilled) == (5, 2)
         pops = [(1, TokenKind.DIV), (3, TokenKind.SYNC), (2, TokenKind.SYNC), (1, TokenKind.SYNC)]
         for pc, kind in pops:  # the fourth pop finds the on-chip segment empty
             state.pc = 1
             events, token = step(state, program)
             assert (token.kind, token.pc) == (kind, pc)
         assert events == (StackEvent.SPILL_LOAD, StackEvent.SYNC_POP)
-        assert (state.stack.onchip_count, state.stack.spilled_count) == (1, 0)
-
-    def test_the_stack_pops_the_plain_tuple_a_step_pushed(self):
-        # The loop pushes (mask, kind, pc) tuples; SyncStack reads tokens by position.
-        state, program = fresh_state("@P0 BRA 2\nNOP.S\nEXIT", profile=SMALL_STACK)
-        for pc in range(4):
-            state.stack.push(Token(FULL, TokenKind.SYNC, pc))
-        state.preds[0] = 0x1
-        step(state, program)
-        token, events = state.stack.pop()
-        assert type(token) is tuple and token == Token(FULL - 1, TokenKind.DIV, 1)
-        assert events == (StackEvent.DIV_POP,)
-        assert [state.stack.pop()[1] for _ in range(4)][-2:] == [
-            (StackEvent.SPILL_LOAD, StackEvent.SYNC_POP), (StackEvent.SYNC_POP,)]
+        assert (len(state.tokens), state.spilled) == (1, 0)
 
     def test_isetp_on_a_float_row_compares_active_lanes_only(self):
         state, program = fresh_state(
-            "FADD32I R1, RZ, 2.5\nISETP.LT P0, R1, 3\nISETP.LT P1, R2, R1\nEXIT",
+            "FADD32I R1, RZ, 2.5\nISETP.LT P0, R1, 3\nISETP.LT P1, R2, R1\n"
+            "ISETP.LT P2, R1, -2147483648\nISETP.LT P3, R1, 2147483647\nEXIT",
             registers={"R2": [t / 2 for t in range(32)]})  # lane 5 holds 2.5 too
         active, old = 0x00FF00F3, 0x5A5A5A5A
         state.active_mask = active
-        state.preds[0] = state.preds[1] = old
-        for _ in range(3):
+        state.preds[:4] = [old] * 4
+        for _ in range(5):
             step(state, program)
         r1 = unpack_row(state.regs[1])
         assert type(state.regs[1]) is list  # the list form of a row
         assert r1 == [2.5 if active >> t & 1 else 0 for t in range(32)]
-        for pred, less in [(0, lambda t: r1[t] < 3), (1, lambda t: t / 2 < r1[t])]:
+        for pred, less in [(0, lambda t: r1[t] < 3), (1, lambda t: t / 2 < r1[t]),
+                           (2, lambda t: r1[t] < -2**31), (3, lambda t: r1[t] < 2**31 - 1)]:
             lt = sum(1 << t for t in range(32) if active >> t & 1 and less(t))
             assert state.preds[pred] == (old & ~active & FULL) | lt
         assert state.preds[0] & active == active and state.preds[1] & active == 0b10011
+        assert state.preds[2] & active == 0 and state.preds[3] & active == active
+
+    def test_a_popped_div_token_logs_move_code_5(self):
+        state, program = fresh_state("NOP.S\nEXIT")
+        state.active_mask = 0xFFFF0000
+        state.tokens.append(Token(0x0000FFFF, TokenKind.DIV, 1))
+        events, token = step(state, program)
+        assert events is MOVE_EVENTS[5]  # the log's events are the code's very tuple
+        assert token == Token(0x0000FFFF, TokenKind.DIV, 1)
+        assert (state.tokens, state.active_mask, state.pc) == ([], 0x0000FFFF, 1)
 
     def test_pop_on_empty_stack_raises(self):
         state, program = fresh_state("NOP\nIADD.S R1, R1, 1\nEXIT")
@@ -223,7 +221,7 @@ class TestStep:
         state.active_mask = 0x00FF00FF
 
         def snapshot():
-            return (state.pc, state.active_mask, state.cycle, state.halted, state.stack.depth,
+            return (state.pc, state.active_mask, state.cycle, state.halted, list(state.tokens),
                     list(state.regs), list(state.preds), repr(state.slots))
 
         before = snapshot()
@@ -235,11 +233,11 @@ class TestStep:
         state, program = fresh_state("FADD32I.S R1, R1, 3e38\nEXIT",
                                      registers={"R1": [3e38] * 32})
         state.active_mask = 0xFFFF0000
-        state.stack.push(Token(0x0000FFFF, TokenKind.DIV, 1))
+        state.tokens.append(Token(0x0000FFFF, TokenKind.DIV, 1))
         with pytest.raises(ModelViolation, match="outside the float32 range"):
             step(state, program)
         assert (state.pc, state.active_mask, state.cycle) == (1, 0x0000FFFF, 0)
-        assert state.stack.depth == 0 and not state.halted
+        assert state.tokens == [] and not state.halted
         assert unpack_row(state.regs[1]) == [ws.f32(3e38)] * 32  # not written
 
     def test_a_stepped_exit_halts_and_charges_the_issue_cost(self):
@@ -260,6 +258,32 @@ class TestStep:
         state.pc = 40
         with pytest.raises(ModelViolation, match="out of range"):
             step(state, program)
+
+
+class TestTheWarpOwnsItsStack:
+    """A run or a step moves the tokens of ``WarpState.tokens`` and builds no SyncStack."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_sync_stacks(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a SyncStack was constructed")
+        monkeypatch.setattr(ws.stack.SyncStack, "__init__", refuse)
+
+    @pytest.mark.parametrize("kernel", list(ws.KernelId))
+    def test_a_run_of_each_kernel(self, kernel):
+        launch = ws.kernel_launch(kernel, ws.bound_pattern(9).bounds, SMALL_STACK)
+        result = checked_run(ws.kernel_program(kernel), launch)
+        assert result.spill_stores == result.spill_loads > 0
+
+    def test_a_step_sequence(self):
+        state, program = fresh_state("SSY 3\n@P0 BRA 2\nNOP.S\nEXIT")
+        state.preds[0] = 0x0000FFFF
+        moves = []
+        while not state.halted:
+            moves.append(step(state, program)[0])
+        E = StackEvent
+        assert moves == [(E.SYNC_PUSH,), (E.DIV_PUSH,), (E.DIV_POP,), (E.SYNC_POP,), ()]
+        assert (state.tokens, state.spilled, state.active_mask) == ([], 0, FULL)
 
 
 class TestRun:
@@ -374,13 +398,15 @@ class TestRun:
         with pytest.raises(ModelViolation, match="IADD"):
             ws.run(ws.parse_program(f"FADD32I R1, RZ, 1.5\n{add}\nEXIT"))
 
-    @pytest.mark.parametrize("add", ["IADD R2, R1, 1", "IADD R2, R1, R7"])
-    def test_iadd_ignores_a_float_in_an_inactive_lane(self, add):
+    @pytest.mark.parametrize("add, value", [
+        ("IADD R2, R1, 1", 1), ("IADD R2, R1, R7", 1),
+        ("IADD R2, R1, -2147483648", -2**31), ("IADD R2, R1, 2147483647", 2**31 - 1)])
+    def test_iadd_ignores_a_float_in_an_inactive_lane(self, add, value):
         # Lanes 0..15 write a float to R1 on the taken path; the IADD runs
         # afterwards on lanes 16..31 only, whose R1 still holds 0.
         result = checked_run(ws.parse_program(INACTIVE_FLOAT_IADD.format(add=add)),
                              ws.LaunchConfig(registers={"R5": list(range(32)), "R7": [1] * 32}))
-        assert result.register("R2") == (0,) * 16 + (1,) * 16
+        assert result.register("R2") == (0,) * 16 + (value,) * 16
         assert result.register("R1") == (1.5,) * 16 + (0,) * 16
 
     @pytest.mark.parametrize("imm", ["3e38", "-3e38"])
@@ -731,7 +757,8 @@ def test_a_move_log_is_frozen(name):
 def test_move_prices_by_move_code(profile, prices):
     # SYNC/DIV push, the same after a spill store, SYNC/DIV pop, the same after a spill load.
     assert profile.move_prices == prices
-    assert fresh_state(profile=profile)[0]._prices == prices
+    result = ws.run(ws.parse_program("NOP\nEXIT"), ws.LaunchConfig(profile=profile))
+    assert result.moves.prices == prices  # the run prices its moves by its launch profile
 
 
 def test_a_spilling_run_records_the_depth_of_its_stack():

@@ -36,6 +36,12 @@ def test_move_events_by_move_code():
         (E.SYNC_POP,), (E.DIV_POP,), (E.SPILL_LOAD, E.SYNC_POP), (E.SPILL_LOAD, E.DIV_POP))
 
 
+@pytest.mark.parametrize("kind", list(TokenKind), ids=lambda kind: kind.name)
+def test_a_token_kind_is_the_div_bit_of_its_move_codes(kind):
+    assert MOVE_EVENTS[kind] == (StackEvent(kind),)
+    assert MOVE_EVENTS[4 + kind][-1] == StackEvent(2 + kind)
+
+
 def test_a_one_entry_stack_makes_all_eight_moves():
     E = StackEvent
     s = SyncStack(phys_capacity=1, spill_chunk=1)
