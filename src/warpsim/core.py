@@ -49,12 +49,12 @@ history); its event log and trace rows are views of it.  A traced run
 (``record_trace=True``) adds only a pc log (:class:`Trace`).
 
 The live cycle counter implements the pop-attributed cost policy: each
-instruction executes, then advances it once by its price: the issue
-cost, or for each of the eight kinds of move (:data:`stack.MOVE_EVENTS`)
-its entry of :attr:`ArchProfile.move_prices`, the issue cost plus the
-cycles of its stack events (so a DIV-pop carrier costs ``div_cost`` in
-all).  The move log derives each move's cycle from the same prices
-instead of storing it.
+instruction executes, then advances it once by its price: one cycle, or
+for each of the eight kinds of move (:data:`stack.MOVE_EVENTS`) its
+entry of :attr:`ArchProfile.move_prices`, one plus the cycles of its
+stack events (so a DIV-pop carrier costs ``div_cost`` in all).  The move
+log derives each move's cycle from the same prices instead of storing
+it.
 ``CLOCK`` reads the counter at issue, before the instruction's own
 charge.
 """
@@ -267,8 +267,8 @@ class MoveLog:
     A record holds the instruction's ordinal, the move code (its index in
     :data:`stack.MOVE_EVENTS`), the moved token's mask and pc, and the
     active mask and depth after the move.  A move's cycle is derived, not
-    stored: the previous move's (at first 0), plus ``issue_cost`` per
-    instruction between the two, plus ``prices[code]`` (the profile's
+    stored: the previous move's (at first 0), plus one per instruction
+    between the two, plus ``prices[code]`` (the profile's
     ``move_prices``); so it stays an exact int for any costs.  The log iterates as
     ``(ordinal, events, token, active_after, depth, cycle)`` tuples,
     decoded as they are read, has a length, and equals another log with
@@ -276,17 +276,16 @@ class MoveLog:
     """
 
     records: bytes = field(repr=False)
-    issue_cost: int
     prices: tuple[int, ...]  # by move code
 
     def __len__(self) -> int:
         return len(self.records) // _RECORD.size
 
     def __iter__(self):
-        issue, prices = self.issue_cost, self.prices
+        prices = self.prices
         cycle = done = 0
         for ordinal, code, mask, pc, after, depth in _RECORD.iter_unpack(self.records):
-            cycle += issue * (ordinal - done - 1) + prices[code]
+            cycle += ordinal - done - 1 + prices[code]
             done = ordinal
             yield (ordinal, MOVE_EVENTS[code], Token(mask, TokenKind(code & 1), pc),
                    after, depth, cycle)
@@ -323,7 +322,7 @@ class Trace:
     Each move marks the row of its instruction with the active mask,
     depth, events and cycle after it.  Every other row keeps the
     previous row's mask and depth (at first the launch mask and 0), has
-    no events, and adds the issue cost to the previous cycle (at first 0).
+    no events, and adds one to the previous cycle (at first 0).
     It iterates as :class:`TraceRecord`s, built as they are read, and
     indexes or slices like a tuple of them.
     """
@@ -340,19 +339,19 @@ class Trace:
         runs draw on one iterator over the pc log: consume each in turn.
         """
         pcs = iter(self.pcs)
-        issue, prices = self.moves.issue_cost, self.moves.prices
+        prices = self.moves.prices
         mask, depth, cycle, done = self.launch_mask, 0, 0, 0
         for ordinal, code, mask_after, depth_after in _TRACE_FIELDS.iter_unpack(
                 self.moves.records):
             if ordinal - 1 > done:
                 yield (islice(pcs, ordinal - 1 - done), (mask, depth, ()),
-                       count(done + 1), count(cycle + issue, issue))
-                cycle += issue * (ordinal - 1 - done)
+                       count(done + 1), count(cycle + 1))
+                cycle += ordinal - 1 - done
             cycle += prices[code]
             yield ((next(pcs),), (mask_after, depth_after, _MOVE_NAMES[code]),
                    (ordinal,), (cycle,))
             mask, depth, done = mask_after, depth_after, ordinal
-        yield pcs, (mask, depth, ()), count(done + 1), count(cycle + issue, issue)
+        yield pcs, (mask, depth, ()), count(done + 1), count(cycle + 1)
 
     def __len__(self) -> int:
         return len(self.pcs)
@@ -435,8 +434,7 @@ def step(state: WarpState, program: Program):
     if not 0 <= state.pc < len(program.instructions):
         raise ModelViolation(f"program counter {state.pc} out of range")
     records = _interpret(state, program.instructions, 1)[5]
-    profile = state.profile
-    for _, events, token, *_ in MoveLog(bytes(records), profile.issue_cost, profile.move_prices):
+    for _, events, token, *_ in MoveLog(bytes(records), state.profile.move_prices):
         return events, token
     return (), None
 
@@ -469,7 +467,7 @@ def _interpret(state: WarpState, instructions: Sequence[Instruction], budget: in
         width.ones, width.low, width.sign, width.high, width.full, width.row_bytes, width.f32)
     tokens, spilled, profile = state.tokens, state.spilled, state.profile
     cap, chunk, depth = profile.phys_capacity or DEPTH_LIMIT, profile.spill_chunk, len(tokens)
-    issue, prices, pack = profile.issue_cost, profile.move_prices, _RECORD.pack
+    prices, pack = profile.move_prices, _RECORD.pack
     imms: dict[int, int] = {}  # immediate -> its packed row, widened once per run
     counts, records = [0] * len(MOVE_EVENTS), bytearray()
     trace = None if pcs is None else pcs.append
@@ -486,7 +484,7 @@ def _interpret(state: WarpState, instructions: Sequence[Instruction], budget: in
                     taken = preds[PRED_PT if ins.pred is None else ins.pred] & active
                     if taken == 0 or taken == active:
                         pc = ins.target if taken else pc + 1
-                        cycle += issue
+                        cycle += 1
                         continue
                     mask, code, to = active ^ taken, 1, pc + 1  # a DIV token
                     nxt, after = ins.target, taken
@@ -526,7 +524,7 @@ def _interpret(state: WarpState, instructions: Sequence[Instruction], budget: in
                 records += pack(executed, code, wide, pc, wide, depth)
                 counts[code] += 1
             else:
-                nxt, charge = pc + 1, issue
+                nxt, charge = pc + 1, 1
 
             if op is _IADD:
                 src_b, xs = ins.src_b, regs[ins.src_a]
@@ -616,7 +614,7 @@ def _interpret(state: WarpState, instructions: Sequence[Instruction], budget: in
                         f"EXIT with active mask {_widen(state.members, active):#010x}, expected "
                         f"launch mask {_widen(state.members, state.launch_mask):#010x}")
                 halted = True
-                cycle += issue
+                cycle += 1
                 break
 
             # Masked register write: ISETP, STSLOT and NOP have no dst; RZ discards.
@@ -703,7 +701,7 @@ def run(program: Program, launch: Union[LaunchConfig, None] = None, *,
         raise RunawayLoopError(
             f"no EXIT after {budget} instructions; raise the budget or fix the loop")
 
-    moves = MoveLog(bytes(records), state.profile.issue_cost, state.profile.move_prices)
+    moves = MoveLog(bytes(records), state.profile.move_prices)
     expand = tuple if lanes_of is None else operator.itemgetter(*lanes_of)  # classes -> lanes
     return RunResult(
         events=CostEvents(*[counts[a] + counts[b] for a, b in _EVENT_CODES]),
@@ -771,9 +769,9 @@ def verify_result(result: RunResult) -> RunResult:
         raise ModelViolation("depth history inconsistent with push/pop counters")
     if peak != result.max_depth:
         raise ModelViolation("max_depth inconsistent with depth history")
-    # The last move's cycle plus the issue cost of each later instruction: each
-    # move costs its price and every other instruction the issue cost.
-    logged = spent + moves.issue_cost * (result.executed_instructions - len(moves))
+    # The last move's cycle plus one per later instruction: each move costs
+    # its price and every other instruction one cycle.
+    logged = spent + result.executed_instructions - len(moves)
     if logged != result.cycles:
         raise ModelViolation(f"cycles inconsistent with the move log: the log's prices "
                              f"give {logged}, the run counted {result.cycles}")

@@ -9,8 +9,11 @@ covers the carrier execution; SYNC pushes/pops and DIV pushes charge
 nothing (their fixed cost is folded into the per-kernel base constants).
 Stack spills charge per chunk event, split into a store leg (during the
 push that overflowed) and a load leg (during the pop that reloaded).
-``ArchProfile.event_cycles`` prices each event; the live cycle counter
-reads ``move_prices``, one price per move of ``stack.MOVE_EVENTS``.
+``ArchProfile.event_cycles`` prices each event.  The live cycle counter
+advances one cycle per instruction, or for one that moves a token, its
+price in ``move_prices`` (one per move of ``stack.MOVE_EVENTS``): one
+cycle plus its events' cycles, where a DIV pop's ``div_cost`` covers
+that cycle.
 
 Profiles are immutable.  ``phys_capacity=None`` disables spilling, which
 is useful for isolating the spill cost by differencing two sweeps.
@@ -34,9 +37,6 @@ class ArchProfile:
 
     ``base_cycles`` maps kernel ids to the calibrated constant part of
     the predicted total (everything that does not scale with divergence).
-    ``issue_cost`` is the per-instruction advance of the live cycle
-    counter; it cancels out of every n-to-n comparison and exists so
-    instrumented timelines move forward.
     """
 
     name: str
@@ -45,13 +45,12 @@ class ArchProfile:
     spill_load_cost: int
     phys_capacity: Union[int, None] = 16
     spill_chunk: int = 4
-    issue_cost: int = 1
     base_cycles: Mapping[str, int] = field(default_factory=dict)
     # Live cycles per stack move, by move code (:data:`MOVE_EVENTS`); built once per profile.
     move_prices: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for attr in ("div_cost", "spill_store_cost", "spill_load_cost", "issue_cost"):
+        for attr in ("div_cost", "spill_store_cost", "spill_load_cost"):
             if getattr(self, attr) < 0:
                 raise ProgramError(f"{attr} must be >= 0")
         for kernel, cycles in self.base_cycles.items():
@@ -59,11 +58,11 @@ class ArchProfile:
                 raise ProgramError(f"base.{kernel} must be >= 0")
         # Constructing a stack validates the capacity/chunk relationship.
         SyncStack(self.phys_capacity, self.spill_chunk)
-        # A move costs its events' cycles plus the issue cost, which a DIV pop's div_cost covers.
+        # A move costs one cycle plus its events' cycles; a DIV pop's div_cost covers that cycle.
         cycles = self.event_cycles
         object.__setattr__(self, "move_prices", tuple(
-            sum(map(cycles.__getitem__, events))
-            + (0 if StackEvent.DIV_POP in events else self.issue_cost) for events in MOVE_EVENTS))
+            sum(map(cycles.__getitem__, events)) + (0 if StackEvent.DIV_POP in events else 1)
+            for events in MOVE_EVENTS))
 
     @property
     def event_cycles(self) -> tuple[int, ...]:
@@ -135,9 +134,7 @@ def charge(events: CostEvents, profile: ArchProfile) -> int:
     return sum(map(mul, vars(events).values(), profile.event_cycles))
 
 
-_PROFILE_INT_KEYS = {
-    "div_cost", "spill_store_cost", "spill_load_cost", "spill_chunk", "issue_cost",
-}
+_PROFILE_INT_KEYS = {"div_cost", "spill_store_cost", "spill_load_cost", "spill_chunk"}
 _UNBOUNDED = {"none", "inf", "unbounded"}
 
 
@@ -146,9 +143,9 @@ def parse_profile(text: str, default_name: str = "custom") -> ArchProfile:
 
     Recognized keys: ``name``, ``div_cost``, ``phys_capacity`` (an integer
     or ``none``/``inf`` for unbounded), ``spill_chunk``,
-    ``spill_store_cost``, ``spill_load_cost``, ``issue_cost``, and
-    ``base.<kernel>`` entries.  ``#`` and ``;`` start comments.  Costs
-    default to 0, the other keys to :class:`ArchProfile`'s defaults.
+    ``spill_store_cost``, ``spill_load_cost`` and ``base.<kernel>``
+    entries; any other key is an error.  ``#`` and ``;`` start comments.
+    Costs default to 0, the other keys to :class:`ArchProfile`'s defaults.
     """
     values = {"name": default_name, "div_cost": 0, "spill_store_cost": 0, "spill_load_cost": 0}
     base: dict[str, int] = {}

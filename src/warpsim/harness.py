@@ -29,7 +29,7 @@ from typing import Iterable, Sequence, Union
 from .core import DEFAULT_BUDGET, RunResult, run, verify_result
 from .cost import ArchProfile, charge
 from .errors import ProgramError
-from .kernels import KernelId, bound_pattern, kernel_launch, kernel_program
+from .kernels import KernelId, bound_pattern, check_n, kernel_launch, kernel_program
 
 # Per-pc trace line templates take (ordinal, state text, cycle); the state
 # text (active mask, depth, events) is shared by every row of a run.
@@ -63,27 +63,26 @@ class SweepRow:
 
 def expected_push_count(kernel: Union[KernelId, str], n: int) -> int:
     """Total stack pushes over a run (SYNC plus DIV)."""
-    _check_n(n)
+    check_n(n)
     if KernelId(kernel) is KernelId.DOUBLE_LOOP:
         return n * (65 - n) // 2 + 33
     return n + 1
 
 
 def expected_max_depth(kernel: Union[KernelId, str], n: int) -> int:
-    _check_n(n)
+    check_n(n)
     return n + 2 if KernelId(kernel) is KernelId.DOUBLE_LOOP else n + 1
 
 
 def expected_spill_count(kernel: Union[KernelId, str], n: int,
-                         phys_capacity: Union[int, None] = 16,
-                         spill_chunk: int = 4) -> Union[int, None]:
+                         phys_capacity: Union[int, None], spill_chunk: int) -> Union[int, None]:
     """Spill-store count for kernels whose stack climbs once then unwinds.
 
     The single-loop stack rises monotonically to its peak and then only
     pops, so spills follow a closed form; the double loop's sawtooth has
     no published one (None).
     """
-    _check_n(n)
+    check_n(n)
     if KernelId(kernel) is KernelId.DOUBLE_LOOP:
         return None
     if phys_capacity is None:
@@ -98,7 +97,7 @@ def fit_curve(kernel: Union[KernelId, str], arch: str, n: int) -> Union[int, Non
     Fits exist for the plain loop kernels on kepler only: 1732 + 32n for
     the single loop and -16n^2 + 1040n + 57024 for the double loop.
     """
-    _check_n(n)
+    check_n(n)
     if arch != "kepler":
         return None
     kernel = KernelId(kernel)
@@ -109,19 +108,14 @@ def fit_curve(kernel: Union[KernelId, str], arch: str, n: int) -> Union[int, Non
     return None
 
 
-def _check_n(n: int) -> None:
-    if not 0 <= n <= 31:
-        raise ProgramError(f"n must be in 0..31, got {n}")
-
-
 @dataclass(frozen=True)
 class OracleSet:
     """Closed-form expectations bound to one (kernel, arch, capacity)."""
 
     kernel: KernelId
     arch: str
-    phys_capacity: Union[int, None] = 16
-    spill_chunk: int = 4
+    phys_capacity: Union[int, None]
+    spill_chunk: int
 
     @classmethod
     def for_profile(cls, kernel: Union[KernelId, str], profile: ArchProfile) -> "OracleSet":

@@ -65,9 +65,14 @@ class BoundPattern:
     bounds: tuple[int, ...]
 
 
-def bound_pattern(n: int) -> BoundPattern:
+def check_n(n: int) -> None:
+    """Raise :class:`ProgramError` unless ``n`` is a divergent-thread count, 0..31."""
     if not 0 <= n <= 31:
         raise ProgramError(f"divergent-thread count must be in 0..31, got {n}")
+
+
+def bound_pattern(n: int) -> BoundPattern:
+    check_n(n)
     bounds = tuple(32 if t <= 31 - n else 63 - n - t for t in range(WARP_SIZE))
     return BoundPattern(n=n, bounds=bounds)
 

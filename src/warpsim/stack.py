@@ -76,7 +76,7 @@ class SyncStack:
 
     __slots__ = ("phys_capacity", "spill_chunk", "_tokens", "_spilled")
 
-    def __init__(self, phys_capacity: int | None = 16, spill_chunk: int = 4):
+    def __init__(self, phys_capacity: int | None, spill_chunk: int):
         if phys_capacity is not None:
             if phys_capacity < 1:
                 raise ProgramError(f"physical stack capacity must be >= 1, got {phys_capacity}")

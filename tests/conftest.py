@@ -5,9 +5,11 @@ per-lane loop results come from plain numpy float32 scalar loops, and
 stack spill behavior comes from a counter-only occupancy tracker driven
 by an abstract push/pop sequence derived from loop structure alone.
 The run-level reference, :func:`stepped`, drives ``core.step`` on an
-unfolded 32-lane ``WarpState`` and reads the state around each
-instruction, so it shares no code with the lane fold, the move log, or
-the trace rows and event log that ``run`` derives from that log.
+unfolded 32-lane ``WarpState`` and reads each move off the state around
+each instruction (its token list and spilled count), not off what
+``step`` returns, so it shares no code with the lane fold, the move log's
+decoding, or the trace rows and event log that ``run`` derives from
+that log.
 """
 
 import numpy as np
@@ -27,7 +29,12 @@ def checked_run(program, launch=None, **kwargs):
 
 def stepped(program, launch, budget=ws.DEFAULT_BUDGET):
     """What ``run`` must give, in the shape of :func:`outcome`, read off a 32-lane
-    state stepped by ``step``; or ``(error type, message)`` if the run raises."""
+    state stepped by ``step``; or ``(error type, message)`` if the run raises.
+
+    A step that deepens the stack pushed its new top token, one that
+    shallows it popped the old top; a grown spilled count is a spill
+    store before the push, a shrunk one a spill load before the pop.
+    """
     state = WarpState(program, launch)
     moves, log, trace, counts = [], [], [], [0] * len(ws.StackEvent)
     branches = 0
@@ -39,7 +46,18 @@ def stepped(program, launch, budget=ws.DEFAULT_BUDGET):
             pc = state.pc
             ins = program.instructions[pc]
             branches += ins.opcode is ws.Opcode.BRA
-            events, token = step(state, program)
+            depth, spilled = len(state.tokens), state.spilled
+            top = state.tokens[-1] if depth else None
+            step(state, program)
+            events = ()
+            if len(state.tokens) != depth:
+                pushed = len(state.tokens) > depth
+                mask, kind, to = state.tokens[-1] if pushed else top
+                token = ws.Token(mask, ws.TokenKind(kind), to)
+                spills = ((ws.StackEvent.SPILL_STORE,) if state.spilled > spilled else
+                          (ws.StackEvent.SPILL_LOAD,) if state.spilled < spilled else ())
+                move = token.kind.name + ("_PUSH" if pushed else "_POP")
+                events = spills + (ws.StackEvent[move],)
             ordinal = len(trace) + 1
             trace.append(ws.TraceRecord(
                 ordinal, pc, ins.opcode.value + (".S" if ins.pop_bit else ""),

@@ -92,7 +92,8 @@ def test_criterion_5_spill_onset_and_cadence(kepler_sweeps):
     assert spills[16] == 1, "first spill exactly at n=16"
     increments = [n for n in range(1, 32) if spills[n] == spills[n - 1] + 1]
     assert increments == [16, 20, 24, 28]
-    assert spills == [ws.expected_spill_count("single", n) for n in range(32)]
+    assert spills == [ws.expected_spill_count("single", n, ws.KEPLER.phys_capacity,
+                                              ws.KEPLER.spill_chunk) for n in range(32)]
     passed(5, "spill onset at n=16, cadence every 4")
 
 

@@ -240,18 +240,17 @@ class TestStep:
         assert state.tokens == [] and not state.halted
         assert unpack_row(state.regs[1]) == [ws.f32(3e38)] * 32  # not written
 
-    def test_a_stepped_exit_halts_and_charges_the_issue_cost(self):
-        profile = dataclasses.replace(ws.KEPLER, name="slow-issue", issue_cost=7)
-        state, program = fresh_state("NOP\nEXIT", profile=profile)
+    def test_a_stepped_exit_halts_and_charges_one_cycle(self):
+        state, program = fresh_state("NOP\nEXIT")
         assert step(state, program) == ((), None)
         assert not state.halted
         assert step(state, program) == ((), None)
         assert state.halted
-        assert (state.pc, state.cycle) == (1, 14)
+        assert (state.pc, state.cycle) == (1, 2)
         with pytest.raises(ModelViolation, match="step after EXIT: the warp has halted"):
             step(state, program)
         assert state.halted
-        assert (state.pc, state.cycle) == (1, 14)
+        assert (state.pc, state.cycle) == (1, 2)
 
     def test_pc_out_of_range_raises(self):
         state, program = fresh_state()
@@ -370,7 +369,7 @@ class TestRun:
     def test_clock_reads_counter_at_issue(self):
         result = checked_run(ws.parse_program("CLOCK R1\nNOP\nCLOCK R2\nEXIT"))
         assert result.register("R1") == (0,) * 32
-        assert result.register("R2") == (2,) * 32  # issue cost 1 per instruction
+        assert result.register("R2") == (2,) * 32  # one cycle per instruction
 
     def test_store_slot_register_and_immediate(self):
         result = checked_run(ws.parse_program("""
@@ -719,13 +718,12 @@ class TestVerifyResult:
     @pytest.mark.parametrize("program,launch", [
         (ws.kernel_program("single"),
          ws.kernel_launch("single", ws.bound_pattern(9).bounds, SMALL_STACK)),
-        (ws.parse_program("NOP\nMOV R1, 3\nEXIT"),
-         ws.LaunchConfig(profile=dataclasses.replace(ws.KEPLER, issue_cost=7))),
+        (ws.parse_program("NOP\nMOV R1, 3\nEXIT"), ws.LaunchConfig()),
     ], ids=["spilling-kernel", "no-moves"])
     def test_rejects_a_cycle_count_the_move_log_does_not_give(self, program, launch):
         result = ws.verify_result(ws.run(program, launch))
-        if not result.moves:  # every instruction costs the issue cost
-            assert result.cycles == 3 * 7
+        if not result.moves:  # every instruction costs one cycle
+            assert result.cycles == 3
         bad = dataclasses.replace(result, cycles=result.cycles + 1)
         with pytest.raises(ModelViolation) as err:
             ws.verify_result(bad)
@@ -751,9 +749,8 @@ def test_a_move_log_is_frozen(name):
 @pytest.mark.parametrize("profile, prices", [
     (ws.KEPLER, (1, 1, 41, 41, 1, 32, 45, 76)),
     (SMALL_STACK, (1, 1, 41, 41, 1, 32, 45, 76)),
-    (dataclasses.replace(SMALL_STACK, name="dear-issue", issue_cost=50),
-     (50, 50, 90, 90, 50, 32, 94, 76)),
-], ids=["kepler", "small-stack", "dear-issue"])
+    (ws.MAXWELL, (1, 1, 89, 89, 1, 26, 89, 114)),
+], ids=["kepler", "small-stack", "maxwell"])
 def test_move_prices_by_move_code(profile, prices):
     # SYNC/DIV push, the same after a spill store, SYNC/DIV pop, the same after a spill load.
     assert profile.move_prices == prices
@@ -780,7 +777,7 @@ def packed(moves, like):
     return MoveLog(b"".join(
         core._RECORD.pack(ordinal, MOVE_EVENTS.index(events), token.mask, token.pc,
                           after, depth)
-        for ordinal, events, token, after, depth, _ in moves), like.issue_cost, like.prices)
+        for ordinal, events, token, after, depth, _ in moves), like.prices)
 
 
 def _edit_first(moves, kind, field, edit):

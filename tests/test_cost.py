@@ -65,6 +65,15 @@ def test_profile_validation():
                        phys_capacity=4, spill_chunk=5)
 
 
+def test_a_profile_has_no_issue_cost():
+    # Every instruction advances the live counter by one cycle; no profile sets another.
+    with pytest.raises(TypeError, match="issue_cost"):
+        ws.ArchProfile("x", div_cost=0, spill_store_cost=0, spill_load_cost=0, issue_cost=1)
+    with pytest.raises(ProgramError) as err:
+        parse_profile("issue_cost = 1")
+    assert str(err.value) == "profile line 1: unknown key 'issue_cost'"
+
+
 def test_parse_profile_round_trip():
     profile = parse_profile("""
         # a hand-calibrated variant
@@ -74,7 +83,6 @@ def test_parse_profile_round_trip():
         spill_chunk = 2
         spill_store_cost = 10
         spill_load_cost = 12   ; trailing comment
-        issue_cost = 0
         base.single = 1000
         base.double = 2000
     """)
@@ -82,14 +90,13 @@ def test_parse_profile_round_trip():
     assert profile.div_cost == 30
     assert profile.phys_capacity == 8 and profile.spill_chunk == 2
     assert (profile.spill_store_cost, profile.spill_load_cost) == (10, 12)
-    assert profile.issue_cost == 0
     assert profile.base_cycles == {"single": 1000, "double": 2000}
 
 
 def test_parse_profile_defaults_and_unbounded():
     profile = parse_profile("phys_capacity = none")
     assert profile.phys_capacity is None
-    assert profile.div_cost == 0 and profile.issue_cost == 1
+    assert profile.div_cost == 0 and profile.spill_chunk == 4
     assert parse_profile("phys_capacity = inf").phys_capacity is None
 
 
@@ -141,8 +148,8 @@ _PRICING_PROFILES = [
     ws.KEPLER,
     ws.MAXWELL,
     ws.ArchProfile("small-stack", div_cost=2, spill_store_cost=7, spill_load_cost=11,
-                   phys_capacity=4, spill_chunk=2, issue_cost=3),
-    ws.ArchProfile("free", div_cost=0, spill_store_cost=0, spill_load_cost=0, issue_cost=0),
+                   phys_capacity=4, spill_chunk=2),
+    ws.ArchProfile("free", div_cost=0, spill_store_cost=0, spill_load_cost=0),
 ]
 
 
@@ -150,7 +157,7 @@ _PRICING_PROFILES = [
 @pytest.mark.parametrize("kernel", [k.value for k in ws.KernelId])
 @pytest.mark.parametrize("n", [0, 1, 16, 17, 31])
 def test_live_clock_equals_issue_plus_charge(kernel, profile, n):
-    """Every instruction but a DIV-pop carrier pays ``issue_cost``; the rest is charge()."""
+    """Every instruction but a DIV-pop carrier pays one cycle; the rest is charge()."""
     result = ws.run_kernel(kernel, n, profile)
     issued = result.executed_instructions - result.events.div_pops
-    assert result.cycles == profile.issue_cost * issued + charge(result.events, profile)
+    assert result.cycles == issued + charge(result.events, profile)

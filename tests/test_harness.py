@@ -15,6 +15,18 @@ from conftest import checked_run, loop_stack_sequence, replay_overlay
 
 
 class TestOracles:
+    @pytest.mark.parametrize("call", [
+        ws.bound_pattern,
+        lambda n: ws.expected_push_count("single", n),
+        lambda n: ws.expected_max_depth("double", n),
+        lambda n: ws.expected_spill_count("single", n, 16, 4),
+        lambda n: ws.fit_curve("single", "kepler", n),
+    ], ids=["bound_pattern", "push_count", "max_depth", "spill_count", "fit_curve"])
+    def test_a_kernel_point_and_its_oracles_check_n_alike(self, call):
+        with pytest.raises(ProgramError) as err:
+            call(32)
+        assert str(err.value) == "divergent-thread count must be in 0..31, got 32"
+
     def test_push_count_formulas(self):
         assert ws.expected_push_count("single", 0) == 1
         assert ws.expected_push_count("double", 0) == 33
@@ -30,12 +42,12 @@ class TestOracles:
         assert ws.expected_max_depth("single", 0) == 1
 
     def test_spill_count_closed_form(self):
-        values = [ws.expected_spill_count("single", n) for n in range(32)]
+        values = [ws.expected_spill_count("single", n, 16, 4) for n in range(32)]
         assert values[:16] == [0] * 16
         assert values[16:20] == [1, 1, 1, 1]
         assert values[20] == 2 and values[24] == 3 and values[28] == 4
-        assert ws.expected_spill_count("double", 5) is None
-        assert ws.expected_spill_count("single", 31, phys_capacity=None) == 0
+        assert ws.expected_spill_count("double", 5, 16, 4) is None
+        assert ws.expected_spill_count("single", 31, phys_capacity=None, spill_chunk=4) == 0
 
     def test_fit_curves(self):
         assert ws.fit_curve("single", "kepler", 31) == 2724

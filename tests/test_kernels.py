@@ -229,8 +229,7 @@ class TestInstrumentedLoop:
 
     @pytest.mark.parametrize("profile", [
         ws.MAXWELL,
-        ws.ArchProfile(name="lab", div_cost=100, spill_store_cost=0,
-                       spill_load_cost=0, issue_cost=0),
+        ws.ArchProfile(name="lab", div_cost=100, spill_store_cost=0, spill_load_cost=0),
     ])
     def test_post_unwind_delta_grows_by_div_cost_on_any_profile(self, profile):
         # The attribution law is profile-generic: each extra divergent

@@ -19,7 +19,7 @@ def sync(pc=0, mask=0xFFFFFFFF):
 
 
 def test_push_events_tag_token_kind():
-    stack = SyncStack()
+    stack = SyncStack(16, 4)
     assert stack.push(sync()) == (StackEvent.SYNC_PUSH,)
     assert stack.push(div()) == (StackEvent.DIV_PUSH,)
     token, events = stack.pop()
@@ -98,24 +98,24 @@ def test_pop_reloads_newest_spilled_chunk():
 
 def test_pop_empty_is_a_model_violation():
     with pytest.raises(ModelViolation, match="empty"):
-        SyncStack().pop()
+        SyncStack(16, 4).pop()
 
 
 def test_div_token_with_empty_mask_rejected():
     with pytest.raises(ModelViolation, match="empty mask"):
-        SyncStack().push(Token(0, TokenKind.DIV, 0))
-    SyncStack().push(Token(0, TokenKind.SYNC, 0))  # SYNC may carry any mask
+        SyncStack(16, 4).push(Token(0, TokenKind.DIV, 0))
+    SyncStack(16, 4).push(Token(0, TokenKind.SYNC, 0))  # SYNC may carry any mask
 
 
 def test_unbounded_capacity_never_spills():
-    stack = SyncStack(phys_capacity=None)
+    stack = SyncStack(phys_capacity=None, spill_chunk=4)
     for i in range(1000):
         assert stack.push(div(pc=i)) == (StackEvent.DIV_PUSH,)
     assert stack.spilled_count == 0 and stack.depth == 1000
 
 
 def test_push_past_the_depth_limit_is_a_model_violation():
-    stack = SyncStack()
+    stack = SyncStack(16, 4)
     for i in range(DEPTH_LIMIT):
         stack.push(sync(pc=i))
     with pytest.raises(ModelViolation, match=f"depth limit of {DEPTH_LIMIT} tokens"):
@@ -127,7 +127,7 @@ def test_push_past_the_depth_limit_is_a_model_violation():
 
 def test_invalid_geometry_rejected():
     with pytest.raises(ProgramError):
-        SyncStack(phys_capacity=0)
+        SyncStack(phys_capacity=0, spill_chunk=4)
     with pytest.raises(ProgramError):
         SyncStack(phys_capacity=4, spill_chunk=5)
     with pytest.raises(ProgramError):
