@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import operator
 import struct
-from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import count, islice
@@ -84,6 +83,7 @@ DEFAULT_BUDGET = 10_000_000
 _MASK32 = 0xFFFFFFFF
 _BIAS = 0x80000000
 _ZEROS = (0,) * WARP_SIZE
+_F64 = struct.Struct(f"<{WARP_SIZE}d")  # a launch list row's lanes as doubles, for _fold
 
 
 class _Width:
@@ -108,15 +108,21 @@ _LT_DIGITS = bytes.maketrans(b"\x00\x01", b"10")
 
 _LANES_CACHE_MAX = 1024
 _lanes_cache: dict[int, tuple[int, ...]] = {}
+# By byte k of a mask, then its value b: the lanes of its set bits, 8k + i for bit i of b.
+_L0, _L1, _L2, _L3 = (tuple(tuple(8 * k + i for i in range(8) if b >> i & 1) for b in range(256))
+                      for k in range(4))
 
 
 def lanes(mask: int) -> tuple[int, ...]:
-    """Lane indices of the set bits of a 32-bit mask (bit t = lane t)."""
+    """Lane indices of the set bits of a 32-bit mask (bit t = lane t), kept in a
+    cache of at most ``_LANES_CACHE_MAX`` masks; a miss joins its four bytes' lanes."""
     cached = _lanes_cache.get(mask)
     if cached is None:
         if len(_lanes_cache) >= _LANES_CACHE_MAX:  # divergence can make up to 2**32 masks
             _lanes_cache.clear()
-        cached = tuple(t for t in range(WARP_SIZE) if mask >> t & 1)
+        # One tuple display: adding byte tuples would free partial sums, 20-tuples too.
+        cached = (*_L0[mask & 255], *_L1[mask >> 8 & 255], *_L2[mask >> 16 & 255],
+                  *_L3[mask >> 24 & 255])
         _lanes_cache[mask] = cached
     return cached
 
@@ -206,12 +212,15 @@ def _launch_row(name: str, values: Sequence) -> Union[int, list]:
     if len(values) != WARP_SIZE:
         raise ProgramError(f"launch register {name} needs {WARP_SIZE} values, got {len(values)}")
     try:
-        return int.from_bytes(_W32.lanes.pack(*values), "little")  # all int32 integers
+        if type(values[0]) is not float:  # a float in lane 0: no int row, so no struct.error
+            return int.from_bytes(_W32.lanes.pack(*values), "little")  # all int32 integers
     except struct.error:  # a lane that is no integer, or outside int32
         pass
     try:
         if {*map(type, values)} == {float}:
             row = list(_W32.f32.unpack(_W32.f32.pack(*values)))
+            if (total := sum(row)) == total:  # a NaN lane, or +inf and -inf, sum to NaN
+                return row
         else:
             row = [_launch_value(name, value) for value in values]
     except OverflowError:
@@ -593,13 +602,13 @@ def _interpret(state: WarpState, instructions: Sequence[Instruction], budget: in
             elif op is _STSLOT:
                 source = unpack_row(regs[ins.src_a], width)
                 if ins.src_b is None:
+                    index = ins.imm  # read once, not once per lane
                     for t in lanes(active):
-                        slots[t][ins.imm] = source[t]
+                        slots[t][index] = source[t]
                 else:
                     indices = unpack_row(regs[ins.src_b], width)
                     for t in lanes(active):
-                        index = indices[t]
-                        if type(index) is not int or index < 0:
+                        if type(index := indices[t]) is not int or index < 0:
                             raise ModelViolation(f"STSLOT slot index {index!r} in lane "
                                                  f"{lanes(state.members[t])[0]} is not an "
                                                  "integer >= 0")
@@ -651,7 +660,7 @@ def _fold(state: WarpState) -> Union[list[int], None]:
     fingerprint = _field_mask(state.launch_mask)
     for n, row in enumerate(map(regs.__getitem__, launched)):
         fingerprint ^= (row << 32 * (n & 1) if type(row) is int
-                        else int.from_bytes(array("d", row).tobytes(), "little"))
+                        else int.from_bytes(_F64.pack(*row), "little"))
     if len(set(memoryview(fingerprint.to_bytes(_W32.row_bytes, "little")).cast("Q"))) == WARP_SIZE:
         return None
     # A lane's key: its mask bit and values (repr tells 0.0 from -0.0, and 1 from 1.0).
@@ -711,7 +720,7 @@ def run(program: Program, launch: Union[LaunchConfig, None] = None, *,
         max_depth=peak,
         registers=tuple(_ZEROS if reg == 0 else expand(unpack_row(reg, state.width))
                         for reg in state.regs[:-1]),
-        slots=tuple(map(dict, expand(state.slots))),
+        slots=tuple(state.slots) if lanes_of is None else tuple(map(dict, expand(state.slots))),
         moves=moves,
         final_active_mask=wide,
         launch_mask=launch.active_mask,

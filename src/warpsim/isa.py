@@ -109,8 +109,8 @@ class Instruction:
     target: Union[int, None] = None
 
 
-_OPERAND_FIELDS = tuple(f.name for f in dataclass_fields(Instruction)
-                        if f.name not in ("opcode", "pop_bit", "pred"))
+_FIELD_INDEX = {f.name: i for i, f in enumerate(dataclass_fields(Instruction))}  # opcode: 0, ...
+_OPERAND_FIELDS = tuple(_FIELD_INDEX)[3:]  # after opcode, pop_bit and pred
 
 
 @dataclass(frozen=True)
@@ -173,8 +173,8 @@ class Program:
                                self.predicate_file_size)
         if not ins_list:
             raise ProgramError("program has no instructions")
-        exits = [i for i, ins in enumerate(ins_list) if ins.opcode is Opcode.EXIT]
-        if len(exits) != 1 or exits[0] != len(ins_list) - 1:
+        opcodes = [ins.opcode for ins in ins_list]
+        if opcodes.count(Opcode.EXIT) != 1 or opcodes[-1] is not Opcode.EXIT:
             raise ProgramError("program must contain exactly one EXIT, as the final instruction")
         for size in (self.register_file_size, self.predicate_file_size):
             if not 1 <= size <= MAX_FILE_SIZE:
@@ -321,6 +321,9 @@ def read_text(path) -> str:
 def parse_program(text: str) -> Program:
     """Assemble source text into a :class:`Program`.
 
+    One pass splits the lines into statements and labels; a second reads
+    each statement's operands into its :class:`Instruction`, once every label
+    is known.  :class:`Program`'s construction check is the one validity check.
     Raises :class:`AsmError` naming the offending line on any syntax,
     register-range, or label-resolution problem.
     """
@@ -367,13 +370,13 @@ def parse_program(text: str) -> Program:
                 raise AsmError(line_no, "predicate prefix without instruction")
             pred_token, line = parts
 
-        head, *rest = line.split(None, 1)
-        mnemonic = head.upper()
+        parts = line.split(None, 1)
+        mnemonic = parts[0].upper()
         pop_bit = False
         if mnemonic.endswith(".S"):
             pop_bit = True
             mnemonic = mnemonic[:-2]
-        operands = list(map(str.strip, rest[0].split(","))) if rest else []
+        operands = list(map(str.strip, parts[1].split(","))) if len(parts) == 2 else []
         if "" in operands:
             raise AsmError(line_no, "empty operand")
         dangling = None
@@ -394,10 +397,11 @@ def parse_program(text: str) -> Program:
             fields = _parse_operands(opcode, operands, labels,
                                      register_file_size, predicate_file_size)
             if pred_token is not None:
-                fields["pred"] = predicate_index(pred_token, predicate_file_size)
+                fields[2] = predicate_index(pred_token, predicate_file_size)
         except ProgramError as exc:
             raise AsmError(line_no, str(exc)) from None
-        instructions.append(Instruction(opcode, pop_bit=pop_bit, **fields))
+        fields[1] = pop_bit
+        instructions.append(Instruction(*fields))
 
     try:
         return Program(tuple(instructions), register_file_size, predicate_file_size, labels)
@@ -406,8 +410,9 @@ def parse_program(text: str) -> Program:
 
 
 def _parse_operands(opcode: Opcode, tokens: list[str], labels: Mapping[str, int],
-                    regs: int, preds: int) -> dict:
-    """Operand fields of one statement, read by the shapes of its SPECS row.
+                    regs: int, preds: int) -> list:
+    """The :class:`Instruction` fields of one statement, in field order, its operands
+    read by the shapes of its SPECS row.
 
     Targets, immediates and slot indices are range-checked afterwards by
     :func:`_check_instruction`.
@@ -416,16 +421,14 @@ def _parse_operands(opcode: Opcode, tokens: list[str], labels: Mapping[str, int]
     if len(tokens) != len(operands):
         shapes = ", ".join(shape for shape, _ in operands)
         raise ProgramError(f"expected operands: {opcode.value} {shapes}".rstrip())
-    fields = {}
+    fields = [opcode, False, None, None, None, None, None, None, None]
     for (shape, name), token in zip(operands, tokens):
-        if shape == "target":
-            value = _parse_int_literal(token)
-            if value is None:
-                if token not in labels:
-                    raise ProgramError(f"unresolved label {token!r}")
-                value = labels[token]
-        elif shape == "reg":
+        if shape == "reg":
             value = register_index(token, regs)
+        elif shape == "target":  # a label (an identifier) is never an integer literal
+            value = labels.get(token)
+            if value is None and (value := _parse_int_literal(token)) is None:
+                raise ProgramError(f"unresolved label {token!r}")
         elif shape == "pred":
             value = predicate_index(token, preds)
         elif shape == "f32":
@@ -438,12 +441,14 @@ def _parse_operands(opcode: Opcode, tokens: list[str], labels: Mapping[str, int]
                 if not (token.startswith("[") and token.endswith("]")):
                     raise ProgramError(f"slot operand must be bracketed: {token!r}")
                 token = token[1:-1].strip()
-            value = _parse_int_literal(token)
-            if value is None:
-                value = register_index(token, regs)
-            else:
-                name = "imm"
-        fields[name] = value
+            value = _REGISTER_INDEX.get(token)  # a canonical name is no integer literal
+            if value is None or value >= regs:
+                value = _parse_int_literal(token)
+                if value is None:
+                    value = register_index(token, regs)
+                else:
+                    name = "imm"
+        fields[_FIELD_INDEX[name]] = value
     return fields
 
 

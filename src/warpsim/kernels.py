@@ -66,7 +66,9 @@ class BoundPattern:
 
 
 def check_n(n: int) -> None:
-    """Raise :class:`ProgramError` unless ``n`` is a divergent-thread count, 0..31."""
+    """Raise :class:`ProgramError` unless ``n`` is a divergent-thread count, an int in 0..31."""
+    if type(n) is not int:  # a bool or a float is no count
+        raise ProgramError(f"divergent-thread count must be an integer in 0..31, got {n!r}")
     if not 0 <= n <= 31:
         raise ProgramError(f"divergent-thread count must be in 0..31, got {n}")
 

@@ -574,6 +574,82 @@ class TestRun:
         assert len(masks) > core._LANES_CACHE_MAX
         assert 0 < len(core._lanes_cache) <= core._LANES_CACHE_MAX
 
+    def test_lanes_lists_the_set_bits_of_any_mask(self):
+        def want(mask):
+            return tuple(t for t in range(32) if mask >> t & 1)
+        rng = random.Random(11)
+        one_byte = [b << 8 * k for k in range(4) for b in range(256)]
+        spread = [rng.getrandbits(32) & rng.getrandbits(32) for _ in range(1500)]
+        wide = [-1, -2, 1 << 40 | 0x81]  # as before: the lanes of the low 32 bits
+        masks = one_byte + spread + wide + [0, FULL] + [rng.getrandbits(32) for _ in range(1500)]
+        core._lanes_cache.clear()
+        for mask in masks + masks[:300]:  # the first 300 again, after the cache has cleared
+            assert core.lanes(mask) == want(mask), hex(mask)
+        assert len(set(masks)) > core._LANES_CACHE_MAX >= len(core._lanes_cache)
+
+    def test_lane_list_misses_leave_no_freed_tuples_behind(self):
+        # As the twenty-lane FADD32I test: CPython 3.11 keeps up to 2,000 freed
+        # 20-tuples and reuses none.  Each mask has 20 lanes in its low three
+        # bytes and 1 to 8 in the top byte, so a miss that added byte tuples
+        # left to right would free a 20-tuple.  The masks have 21 to 28 lanes,
+        # because any cached 20-lane result parks when the cache clears.
+        rng = random.Random(3)
+        masks = set()
+        while len(masks) < 2_000:
+            masks.add(sum(1 << t for t in rng.sample(range(24), 20)) | rng.randrange(1, 256) << 24)
+
+        def misses():
+            core._lanes_cache.clear()
+            for mask in masks:
+                core.lanes(mask)
+            core._lanes_cache.clear()
+
+        misses()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            misses()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 50_000
+
+    @pytest.mark.parametrize("row,form,want", [
+        ([float("inf"), float("-inf")] + [0.5] * 30, list, None),
+        ([-0.0] * 32, list, None),
+        ([0.1] * 32, list, [0.10000000149011612] * 32),
+        ([1, 0.5] * 16, list, None),
+        ([0.5] + [1] * 31, list, None),
+        ([True, False] * 16, int, [1, 0] * 16),
+        ([True] + [0.5] * 31, list, [1] + [0.5] * 31),
+        ([(1 << 31) - 1, -(1 << 31)] * 16, int, None),
+        ([(1 << 31) - 1, -(1 << 31), -0.0] + [0] * 29, list, None),
+        ([float("nan")] + [0.5] * 31, "NaN", None),
+        ([0.5] * 31 + [float("nan")], "NaN", None),
+        ([0, float("nan")] * 16, "NaN", None),
+        ([float("nan"), 1 << 31] + [0.5] * 30, "NaN", None),
+        ([1 << 31, float("nan")] + [0.5] * 30, "2147483648, outside the 32-bit signed range", None),
+        ([0] * 31 + [1 << 31], "2147483648, outside the 32-bit signed range", None),
+        ([0] * 31 + [-(1 << 31) - 1], "-2147483649, outside the 32-bit signed range", None),
+        ([0.5] * 31 + [1 << 31], "2147483648, outside the 32-bit signed range", None),
+        ([3.5e38] + [0.5] * 31, "a value outside the float32 range", None),
+        ([float("nan"), 1e39] + [0.5] * 30, "a value outside the float32 range", None),
+        ([1, float("nan"), -1e39] + [0] * 29, "a value outside the float32 range", None),
+    ], ids=["infinities", "negative-zero", "rounded", "mixed", "float-first", "bools",
+            "bool-and-floats", "int32-edges", "int32-edges-and-zero", "nan-first", "nan-last",
+            "nan-mixed", "nan-before-int", "int-before-nan", "int32-max+1", "int32-min-1",
+            "int-in-floats", "float32-overflow", "overflow-before-nan", "overflow-mixed"])
+    def test_a_launch_row_keeps_its_form_values_and_errors(self, row, form, want):
+        # want: the lane values (by repr, so -0.0 and 1 against 1.0 count), or the row itself.
+        if isinstance(form, str):
+            with pytest.raises(ProgramError) as err:
+                core._launch_row("R1", row)
+            assert str(err.value) == f"launch register R1 holds {form}"
+            return
+        got = core._launch_row("R1", row)
+        assert type(got) is form
+        assert repr(list(unpack_row(got))) == repr(row if want is None else want)
+
     def test_trace_records_shape(self):
         result = checked_run(ws.parse_program("SSY 2\nNOP.S\nEXIT"), record_trace=True)
         assert [r.opcode for r in result.trace] == ["SSY", "NOP.S", "EXIT"]

@@ -21,11 +21,15 @@ class TestOracles:
         lambda n: ws.expected_max_depth("double", n),
         lambda n: ws.expected_spill_count("single", n, 16, 4),
         lambda n: ws.fit_curve("single", "kepler", n),
-    ], ids=["bound_pattern", "push_count", "max_depth", "spill_count", "fit_curve"])
+        lambda n: ws.run_kernel("single", n, ws.KEPLER),
+    ], ids=["bound_pattern", "push_count", "max_depth", "spill_count", "fit_curve", "run_kernel"])
     def test_a_kernel_point_and_its_oracles_check_n_alike(self, call):
-        with pytest.raises(ProgramError) as err:
-            call(32)
-        assert str(err.value) == "divergent-thread count must be in 0..31, got 32"
+        for n, message in [(32, "divergent-thread count must be in 0..31, got 32"),
+                           (2.5, "divergent-thread count must be an integer in 0..31, got 2.5"),
+                           (True, "divergent-thread count must be an integer in 0..31, got True")]:
+            with pytest.raises(ProgramError) as err:
+                call(n)
+            assert str(err.value) == message
 
     def test_push_count_formulas(self):
         assert ws.expected_push_count("single", 0) == 1

@@ -104,6 +104,17 @@ def test_unconditional_and_numeric_target():
     ("EXIT\nNOP", 2, "program must contain exactly one EXIT, as the final instruction"),
     ("; nothing here\n", 1, "empty program"),
     (".foo 1\nEXIT", 1, "unknown directive '.foo'"),
+    # Canonical register names outside a shrunk file, in each operand shape.
+    (".registers 4\nMOV R4, 1\nEXIT", 2, "register R4 outside file of 4"),
+    (".registers 4\nIADD R1, R1, R4\nEXIT", 2, "register R4 outside file of 4"),
+    (".registers 4\nSTSLOT [R4], R1\nEXIT", 2, "register R4 outside file of 4"),
+    ("ISETP.LT P0, R0, R99\nEXIT", 1, "register R99 outside file of 16"),
+    ("MOV R1, r 2\nEXIT", 1, "not a register name: 'r 2'"),
+    ("NOP R1\nEXIT", 1, "expected operands: NOP"),
+    ("EXIT 1", 1, "expected operands: EXIT"),
+    ("SSY R1\nEXIT", 1, "unresolved label 'R1'"),
+    ("@Q0 BRA 1\nEXIT", 1, "not a predicate name: 'Q0'"),
+    ("ISETP.LT PT5, R0, 1\nEXIT", 1, "not a predicate name: 'PT5'"),
 ])
 def test_parse_errors_name_the_line(source, line, message):
     with pytest.raises(AsmError) as err:
